@@ -1,183 +1,44 @@
-"""Hot per-sample recursion kernels.
+"""The one time-domain simulation kernel: a lifted linear recursion.
 
-State recursions cannot be vectorized, so these loops dominate simulation
-runtime.  The path is chosen once, at import: the kernels are JIT-compiled
-with numba exactly when the environment variable ``LPVSYN_DISABLE_NUMBA`` is
-unset or empty and ``from numba import njit`` succeeds.  Any non-empty value of the variable, ``0`` included, selects
-the identical pure-Python/numpy implementations, as does a missing numba.
-``NUMBA_ENABLED`` reports which path is active: when it is false, the exported
-``lpv_recursion``, ``closed_loop_recursion`` and ``lti_experiment_recursion``
-are the ``*_py`` functions themselves.  ``benchmarks/bench_kernels.py``
-compares the two paths.
+Loops that scheduling makes time-varying (the LPV plant alone, or the plant
+closed with the LFR controller) are written as one recursion
+z_{k+1} = A_cl(k) z_k + f_k from rest over the stacked state of every block
+in the loop.  The caller builds A_cl and f for at most ``CHUNK`` samples at a
+time, so memory stays flat at any record length, and reads its outputs off
+the stacked states.  LTI loops need no recursion here: they are filtered
+through their closed-loop transfer functions (``RationalTf.filter``).
+
+``NUMBA_ENABLED`` is always False, because lpvsyn compiles nothing.  It is
+kept only for the environment stamp of ``perfbench/run.py``.
 """
-import os
-
 import numpy as np
 
 NUMBA_ENABLED = False
-if not os.environ.get("LPVSYN_DISABLE_NUMBA"):
-    try:
-        from numba import njit
-        NUMBA_ENABLED = True
-    except ImportError:
-        pass
+CHUNK = 1024
 
 
-def lpv_recursion_py(a0, a1, b, c, u, p, x0):
-    """x_{k+1} = (A0 + p_k A1) x_k + B u_k,  y_k = C x_k."""
-    nx = a0.shape[0]
-    n = u.shape[0]
-    x = x0.copy()
-    xs = np.zeros(nx)
-    y = np.zeros(n)
-    for k in range(n):
-        yk = 0.0
-        for i in range(nx):
-            yk += c[i] * x[i]
-        y[k] = yk
-        pk = p[k]
-        for i in range(nx):
-            acc = b[i] * u[k]
-            for j in range(nx):
-                acc += (a0[i, j] + pk * a1[i, j]) * x[j]
-            xs[i] = acc
-        for i in range(nx):
-            x[i] = xs[i]
-    return y
+def lifted_states(n, nz, chunk):
+    """Yield ``(lo, hi, zs)`` with zs[j] = z_{lo+j} for consecutive blocks of
+    at most ``CHUNK`` samples covering 0..n-1, where z_0 = 0 and
+    z_{k+1} = A_cl(k) z_k + f_k.
 
-
-def closed_loop_recursion_py(a0, a1, b, c, an, bn, ad, bd, wbar, vbar,
-                             p_lo, p_hi, r, p, d, overflow):
-    """One-sample-consistent LPV loop: e = r - y, u = K_p e, plant input u + d.
-
-    The controller is the series LFR N_K D_K^{-1} realized as two OBF banks
-    sharing the D-inverse output; scheduling enters through monomials of the
-    rescaled operating point.  Returns (e, u, y, diverged_index) with
-    diverged_index = -1 on a clean run.
+    ``chunk(lo, hi)`` returns A_cl(lo..hi-1) of shape (hi-lo, nz, nz) and
+    f(lo..hi-1) of shape (hi-lo, nz).  A consumer may stop early, for example
+    at the first block whose outputs overflow.
     """
-    nx = a0.shape[0]
-    n_n = an.shape[0]
-    n_d = ad.shape[0]
-    m = wbar.shape[1]
-    n = r.shape[0]
-    x = np.zeros(nx)
-    xs = np.zeros(nx)
-    xn = np.zeros(n_n)
-    xns = np.zeros(n_n)
-    xd = np.zeros(n_d)
-    xds = np.zeros(n_d)
-    psi = np.zeros(m)
-    e = np.zeros(n)
-    u = np.zeros(n)
-    y = np.zeros(n)
-    half_span = 0.5 * (p_hi - p_lo)
-    mid = 0.5 * (p_hi + p_lo)
-    for k in range(n):
-        yk = 0.0
-        for i in range(nx):
-            yk += c[i] * x[i]
-        if not np.isfinite(yk) or abs(yk) > overflow:
-            return e, u, y, k
-        y[k] = yk
-        ek = r[k] - yk
-        e[k] = ek
-        pk = p[k]
-        pt = (pk - mid) / half_span if half_span > 0.0 else 0.0
-        psi[0] = 1.0
-        for l in range(1, m):
-            psi[l] = psi[l - 1] * pt
-        # D_K^{-1}: algebraic feedback around the unity feedthrough
-        v_in = ek
-        for i in range(n_d):
-            vi = 0.0
-            for l in range(m):
-                vi += vbar[i + 1, l] * psi[l]
-            v_in -= vi * xd[i]
-        # N_K output
-        w0 = 0.0
-        for l in range(m):
-            w0 += wbar[0, l] * psi[l]
-        uk = w0 * v_in
-        for i in range(n_n):
-            wi = 0.0
-            for l in range(m):
-                wi += wbar[i + 1, l] * psi[l]
-            uk += wi * xn[i]
-        u[k] = uk
-        # bank state updates (both banks driven by v_in)
-        for i in range(n_n):
-            acc = bn[i] * v_in
-            for j in range(n_n):
-                acc += an[i, j] * xn[j]
-            xns[i] = acc
-        for i in range(n_n):
-            xn[i] = xns[i]
-        for i in range(n_d):
-            acc = bd[i] * v_in
-            for j in range(n_d):
-                acc += ad[i, j] * xd[j]
-            xds[i] = acc
-        for i in range(n_d):
-            xd[i] = xds[i]
-        # plant update with input disturbance
-        ug = uk + d[k]
-        for i in range(nx):
-            acc = b[i] * ug
-            for j in range(nx):
-                acc += (a0[i, j] + pk * a1[i, j]) * x[j]
-            xs[i] = acc
-        for i in range(nx):
-            x[i] = xs[i]
-    return e, u, y, -1
+    z = np.zeros(nz)
+    for lo in range(0, n, CHUNK):
+        hi = min(lo + CHUNK, n)
+        a_cl, f = chunk(lo, hi)
+        zs = np.empty((hi - lo, nz))
+        for k in range(hi - lo):
+            zs[k] = z
+            z = a_cl[k] @ z + f[k]
+        yield lo, hi, zs
 
 
-def lti_experiment_recursion_py(a_p, b, c, ak, bk, ck, dk, d, noise, overflow):
-    """Frozen-plant closed-loop data experiment: r = 0, e = -(y + noise),
-    u_G = K0 e + d.  Returns (u_G, y_measured, diverged_index)."""
-    nx = a_p.shape[0]
-    nk = ak.shape[0]
-    n = d.shape[0]
-    xg = np.zeros(nx)
-    xgs = np.zeros(nx)
-    xk = np.zeros(nk)
-    xks = np.zeros(nk)
-    u_g = np.zeros(n)
-    y = np.zeros(n)
-    for k in range(n):
-        yk = noise[k]
-        for i in range(nx):
-            yk += c[i] * xg[i]
-        if not np.isfinite(yk) or abs(yk) > overflow:
-            return u_g, y, k
-        y[k] = yk
-        ek = -yk
-        uk = dk * ek
-        for i in range(nk):
-            uk += ck[i] * xk[i]
-        ug = uk + d[k]
-        u_g[k] = ug
-        for i in range(nk):
-            acc = bk[i] * ek
-            for j in range(nk):
-                acc += ak[i, j] * xk[j]
-            xks[i] = acc
-        for i in range(nk):
-            xk[i] = xks[i]
-        for i in range(nx):
-            acc = b[i] * ug
-            for j in range(nx):
-                acc += a_p[i, j] * xg[j]
-            xgs[i] = acc
-        for i in range(nx):
-            xg[i] = xgs[i]
-    return u_g, y, -1
-
-
-if NUMBA_ENABLED:
-    lpv_recursion = njit(cache=True)(lpv_recursion_py)
-    closed_loop_recursion = njit(cache=True)(closed_loop_recursion_py)
-    lti_experiment_recursion = njit(cache=True)(lti_experiment_recursion_py)
-else:
-    lpv_recursion = lpv_recursion_py
-    closed_loop_recursion = closed_loop_recursion_py
-    lti_experiment_recursion = lti_experiment_recursion_py
+def first_bad_index(y, limit):
+    """Index of the first sample of ``y`` that is not finite or exceeds
+    ``limit`` in magnitude; -1 when there is none."""
+    bad = np.flatnonzero(~np.isfinite(y) | (np.abs(y) > limit))
+    return int(bad[0]) if bad.size else -1

@@ -83,23 +83,70 @@ def simulate_closed_loop(model: LpvSurrogateModel, ctrl: LfrController,
 
     The controller state and output use the current scheduling sample; the
     plant output is strictly causal in u, so there is no algebraic loop.
-    Raises SimulationDivergedError with the sample index on overflow.
+    The loop runs as one lifted recursion over z = [x; x_N; x_D] (plant, N
+    bank, D bank).  With the inner signal v = e - v~(p) x_D = r - L z, where
+    L = [c, 0, v~(p)], and B_v = [b w_0(p); b_N; b_D]:
+
+        z_{k+1} = (blkdiag(A(p), A_N, A_D) - B_v L + b [0, w~(p), 0]) z_k
+                  + B_v r_k + [b d_k; 0; 0],
+        u_k = w_0(p) (r_k - L z_k) + w~(p) x_N,k.
+
+    Raises SimulationDivergedError with the index of the first sample whose
+    output is not finite or exceeds OVERFLOW_LIMIT in magnitude.
     """
     n = len(reference)
     if len(scheduling) != n or len(disturbance) != n:
         raise ValueError("reference, scheduling and disturbance lengths differ")
     model.check_in_range(scheduling.samples)
-    e, u, y, diverged = _kernels.closed_loop_recursion(
-        model.a0, model.a1, model.b, model.c,
-        ctrl.a_n, ctrl.b_n, ctrl.a_d, ctrl.b_d,
-        ctrl.params.wbar, ctrl.params.vbar,
-        ctrl.params.sched.p_range[0], ctrl.params.sched.p_range[1],
-        reference.samples, scheduling.samples, disturbance.samples,
-        OVERFLOW_LIMIT)
-    if diverged >= 0:
-        raise SimulationDivergedError("closed loop diverged", diverged)
-    return Trace(reference.samples, e, u, disturbance.samples, y,
-                 scheduling.samples, model.sample_rate, model.scheduling_range)
+    r, p, d = reference.samples, scheduling.samples, disturbance.samples
+    params = ctrl.params
+    lo_p, hi_p = params.sched.p_range
+    nx, n_n = model.state_dim, ctrl.a_n.shape[0]
+    xn = slice(nx, nx + n_n)
+    xd = slice(nx + n_n, nx + n_n + ctrl.a_d.shape[0])
+    nz = xd.stop
+    base = np.zeros((nz, nz))
+    base[xn, xn] = ctrl.a_n
+    base[xd, xd] = ctrl.a_d
+
+    def weights(lo, hi):
+        """w_0, [0, w~, 0] and L at samples lo..hi-1."""
+        pt = (p[lo:hi] - 0.5 * (hi_p + lo_p)) / (0.5 * (hi_p - lo_p))
+        psi = np.vander(pt, params.sched.m, increasing=True)
+        w = psi @ params.wbar.T
+        lift_w = np.zeros((hi - lo, nz))
+        lift_w[:, xn] = w[:, 1:]
+        lift_l = np.zeros((hi - lo, nz))
+        lift_l[:, :nx] = model.c
+        lift_l[:, xd] = psi @ params.vbar[1:].T
+        return w[:, 0], lift_w, lift_l
+
+    def chunk(lo, hi):
+        w0, lift_w, lift_l = weights(lo, hi)
+        b_v = np.empty((hi - lo, nz))
+        b_v[:, :nx] = np.outer(w0, model.b)
+        b_v[:, xn] = ctrl.b_n
+        b_v[:, xd] = ctrl.b_d
+        a_cl = np.tile(base, (hi - lo, 1, 1))
+        a_cl[:, :nx, :nx] = model.a0 + p[lo:hi, None, None] * model.a1
+        a_cl -= b_v[:, :, None] * lift_l[:, None, :]
+        a_cl[:, :nx] += model.b[None, :, None] * lift_w[:, None, :]
+        f = b_v * r[lo:hi, None]
+        f[:, :nx] += np.outer(d[lo:hi], model.b)
+        return a_cl, f
+
+    e, u, y = np.empty(n), np.empty(n), np.empty(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo, hi, zs in _kernels.lifted_states(n, nz, chunk):
+            y[lo:hi] = np.einsum("ki,i->k", zs[:, :nx], model.c)
+            bad = _kernels.first_bad_index(y[lo:hi], OVERFLOW_LIMIT)
+            if bad >= 0:
+                raise SimulationDivergedError("closed loop diverged", lo + bad)
+            e[lo:hi] = r[lo:hi] - y[lo:hi]
+            w0, lift_w, lift_l = weights(lo, hi)
+            u[lo:hi] = w0 * r[lo:hi] + np.einsum(
+                "ki,ki->k", lift_w - w0[:, None] * lift_l, zs)
+    return Trace(r, e, u, d, y, p, model.sample_rate, model.scheduling_range)
 
 
 # ---------------------------------------------------------------------------

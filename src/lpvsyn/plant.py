@@ -8,7 +8,6 @@ about any physical device.
 """
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -19,8 +18,8 @@ import numpy as np
 from . import _kernels
 from .exceptions import SimulationDivergedError, StabilizationError
 from .frfdata import FrequencyGrid, FrfResponse, TimeRecord
-from .rational import (RationalTf, internally_stable, statespace_response,
-                       statespace_tf)
+from .rational import (RationalTf, closed_loop_maps, internally_stable,
+                       statespace_response, statespace_tf)
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,34 +125,21 @@ def frozen_frf(model: LpvSurrogateModel, p: float, grid: FrequencyGrid) -> FrfRe
 # simulation
 # ---------------------------------------------------------------------------
 
-def controllable_canonical(tf: RationalTf):
-    """(A, B, C, D) of a proper rational in controllable canonical form."""
-    a = tf.den / tf.den[0]
-    b_full = np.zeros(a.size)
-    b_full[a.size - tf.num.size:] = tf.num / tf.den[0]
-    n = a.size - 1
-    d = b_full[0]
-    if n == 0:
-        return np.zeros((0, 0)), np.zeros(0), np.zeros(0), float(d)
-    a_mat = np.zeros((n, n))
-    a_mat[0, :] = -a[1:]
-    if n > 1:
-        a_mat[1:, :-1] = np.eye(n - 1)
-    b_vec = np.zeros(n)
-    b_vec[0] = 1.0
-    c_vec = b_full[1:] - d * a[1:]
-    return a_mat, b_vec, c_vec, float(d)
-
-
 def simulate_lpv(model: LpvSurrogateModel, input: TimeRecord,
                  scheduling: TimeRecord) -> TimeRecord:
     """State recursion x_{k+1} = A(p_k) x_k + B u_k, y_k = C x_k from rest."""
     if len(input) != len(scheduling):
         raise ValueError("input and scheduling records must have equal length")
     model.check_in_range(scheduling.samples)
-    y = _kernels.lpv_recursion(model.a0, model.a1, model.b, model.c,
-                               input.samples, scheduling.samples,
-                               np.zeros(model.state_dim))
+    u, p = input.samples, scheduling.samples
+
+    def chunk(lo, hi):
+        return (model.a0 + p[lo:hi, None, None] * model.a1,
+                np.outer(u[lo:hi], model.b))
+
+    y = np.empty(len(u))
+    for lo, hi, xs in _kernels.lifted_states(len(u), model.state_dim, chunk):
+        y[lo:hi] = xs @ model.c
     return TimeRecord(y, model.sample_rate, "y")
 
 
@@ -166,10 +152,13 @@ def generate_experiment(model: LpvSurrogateModel, controller0: RationalTf,
     ``periodic_period`` repeats one white-noise period instead, which makes
     leakage-free DFT-bin estimation possible once the transient has decayed.
     Returns records (d, u_G, y) for the maps d -> u_G and d -> y; deterministic
-    for a fixed seed.
+    for a fixed seed.  The loop e = -y, u_G = K0 e + d is LTI, so the records
+    are filtered through its stable closed-loop maps: u_G = S (d - K0 n) and
+    y = GS (d - K0 n) + n for the measurement noise n.
     """
     model.check_in_range(p)
-    if not internally_stable(frozen_tf(model, p), controller0):
+    plant = frozen_tf(model, p)
+    if not internally_stable(plant, controller0):
         raise StabilizationError(
             f"controller0 does not internally stabilize the frozen plant at p={p}")
     rng = np.random.default_rng(seed)
@@ -181,9 +170,12 @@ def generate_experiment(model: LpvSurrogateModel, controller0: RationalTf,
         d = d_std * rng.standard_normal(n_samples)
     noise = noise_std * rng.standard_normal(n_samples) if noise_std else np.zeros(n_samples)
 
-    ak, bk, ck, dkk = controllable_canonical(controller0)
-    u_g, y_meas, diverged = _kernels.lti_experiment_recursion(
-        model.a_at(p), model.b, model.c, ak, bk, ck, dkk, d, noise, 1e12)
+    maps = closed_loop_maps(plant, controller0)
+    excitation = d - controller0.filter(noise)
+    with np.errstate(over="ignore", invalid="ignore"):
+        u_g = maps["S"].filter(excitation)
+        y_meas = maps["GS"].filter(excitation) + noise
+    diverged = _kernels.first_bad_index(y_meas, 1e12)
     if diverged >= 0:
         raise SimulationDivergedError("closed-loop experiment diverged", diverged)
     fs = model.sample_rate
@@ -233,29 +225,31 @@ class Trace:
         return np.arange(len(self)) / self.sample_rate
 
 
+TRACE_COLUMNS = ("t", "r", "e", "u", "d", "y", "p")
+
+
 def save_trace(trace: Trace, path) -> None:
-    """CSV export with header t,r,e,u,d,y,p."""
-    t = trace.t
+    """CSV export with header t,r,e,u,d,y,p: shortest round-trip float reprs,
+    comma separated, CRLF line ends."""
+    table = np.column_stack([trace.t, trace.r, trace.e, trace.u, trace.d,
+                             trace.y, trace.p])
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "r", "e", "u", "d", "y", "p"])
-        for row in zip(t, trace.r, trace.e, trace.u, trace.d, trace.y, trace.p):
-            writer.writerow([repr(float(v)) for v in row])
+        fh.write(",".join(TRACE_COLUMNS) + "\r\n")
+        for lo in range(0, len(table), _kernels.CHUNK):
+            fh.writelines(",".join(map(repr, row)) + "\r\n"
+                          for row in table[lo:lo + _kernels.CHUNK].tolist())
 
 
 def load_trace(path, scheduling_range=None) -> Trace:
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["t", "r", "e", "u", "d", "y", "p"]:
+        header = fh.readline().rstrip("\r\n").split(",")
+        if header != list(TRACE_COLUMNS):
             raise ValueError(f"unexpected trace header {header}")
-        cols = {name: [] for name in header}
-        for row in reader:
-            for name, val in zip(header, row):
-                cols[name].append(float(val))
-    t = np.asarray(cols["t"])
+        table = np.loadtxt(fh, delimiter=",", ndmin=2)
+    if table.size and table.shape[1] != len(TRACE_COLUMNS):
+        raise ValueError(f"trace rows need {len(TRACE_COLUMNS)} columns, "
+                         f"found {table.shape[1]}")
+    t, r, e, u, d, y, p = table.reshape(-1, len(TRACE_COLUMNS)).T
     fs = 1.0 / (t[1] - t[0]) if t.size > 1 else 1.0
-    p = np.asarray(cols["p"])
     rng = scheduling_range or (float(p.min()), float(p.max()) + 1e-9)
-    return Trace(cols["r"], cols["e"], cols["u"], cols["d"], cols["y"], p,
-                 round(fs, 9), rng)
+    return Trace(r, e, u, d, y, p, round(fs, 9), rng)

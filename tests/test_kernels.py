@@ -1,158 +1,150 @@
-"""The numba-compiled kernels and the pure-Python fallbacks must agree, and
-the path is selected by the rule that ``lpvsyn._kernels`` documents."""
-import os
-import subprocess
-import sys
-
+"""The simulation path must reproduce the scalar per-sample recursions in
+``recursion_oracle``: the lifted LPV loops to a relative 1e-12, the filtered
+LTI experiment to a relative 1e-7, and divergence at the same sample."""
 import numpy as np
 import pytest
 
+from lpvsyn import (ControllerParameters, LpvSurrogateModel, SchedulingBasis,
+                    TimeRecord, build_lfr, generate_experiment,
+                    laguerre_basis, simulate_closed_loop, simulate_lpv)
 from lpvsyn import _kernels
+from lpvsyn.exceptions import SimulationDivergedError
+from lpvsyn.lfr import OVERFLOW_LIMIT
+from recursion_oracle import (closed_loop_recursion, controllable_canonical,
+                              lpv_recursion, lti_experiment_recursion)
 
-KERNEL_NAMES = ("lpv_recursion", "closed_loop_recursion",
-                "lti_experiment_recursion")
-
-# Imports lpvsyn._kernels in a fresh interpreter and prints NUMBA_ENABLED and
-# whether every exported kernel is its *_py fallback.  With ``fake`` true, a
-# numba module whose njit tags the function is put in sys.modules first, so the
-# numba-present branch of the rule is exercised where numba is not installed.
-_PROBE = """
-import sys, types
-if {fake}:
-    numba = types.ModuleType("numba")
-    numba.njit = lambda **options: (lambda fn: ("jit", fn))
-    sys.modules["numba"] = numba
-from lpvsyn import _kernels as k
-print(k.NUMBA_ENABLED,
-      all(getattr(k, n) is getattr(k, n + "_py") for n in {names!r}))
-"""
+FS = 200.0
+P_RANGE = (30.0, 50.0)
 
 
-@pytest.fixture
-def loop_args():
-    rng = np.random.default_rng(0)
-    nx, n_n, n_d, m, n = 3, 4, 4, 2, 600
-    a0 = np.diag([0.9, 0.85, 0.8]) + 0.01 * rng.standard_normal((nx, nx))
-    a1 = 0.001 * rng.standard_normal((nx, nx))
-    b = rng.standard_normal(nx)
-    c = rng.standard_normal(nx)
-    an = 0.5 * np.tril(rng.standard_normal((n_n, n_n)))
-    bn = rng.standard_normal(n_n)
-    ad = 0.5 * np.tril(rng.standard_normal((n_d, n_d)))
-    bd = rng.standard_normal(n_d)
-    wbar = 0.01 * rng.standard_normal((n_n + 1, m))
-    vbar = np.zeros((n_d + 1, m))
+def rel_err(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+def random_model(rng, growth=None):
+    """A stable random plant; or, with ``growth``, A(p) = growth * I."""
+    nx = 3
+    if growth is None:
+        a0 = np.diag([0.9, 0.85, 0.8]) + 0.01 * rng.standard_normal((nx, nx))
+        a1 = 0.0002 * rng.standard_normal((nx, nx))
+    else:
+        a0, a1 = growth * np.eye(nx), np.zeros((nx, nx))
+    return LpvSurrogateModel(a0, a1, rng.standard_normal(nx),
+                             rng.standard_normal(nx), FS, P_RANGE)
+
+
+def random_controller(rng, order_n=4, order_d=4, m=2):
+    # small gains keep these loops bounded; the oracle checks diverged == -1
+    wbar = 0.003 * rng.standard_normal((order_n + 1, m))
+    vbar = np.zeros((order_d + 1, m))
     vbar[0, 0] = 1.0
-    vbar[1:] = 0.02 * rng.standard_normal((n_d, m))
-    r = rng.standard_normal(n)
-    p = 40.0 + 10.0 * np.sin(np.arange(n) / 50.0)
-    d = 0.1 * rng.standard_normal(n)
-    return (a0, a1, b, c, an, bn, ad, bd, wbar, vbar, 30.0, 50.0, r, p, d, 1e12)
+    vbar[1:] = 0.02 * rng.standard_normal((order_d, m))
+    params = ControllerParameters(wbar, vbar, laguerre_basis(0.5, order_n),
+                                  laguerre_basis(0.6, order_d),
+                                  SchedulingBasis(m, P_RANGE))
+    return build_lfr(params, FS)
 
 
-def _numba_importable():
-    try:
-        from numba import njit  # noqa: F401
-    except ImportError:
-        return False
-    return True
+def signals(rng, n):
+    r = TimeRecord(rng.standard_normal(n), FS)
+    p = TimeRecord(40.0 + 10.0 * np.sin(np.arange(n) / 50.0), FS)
+    d = TimeRecord(0.1 * rng.standard_normal(n), FS)
+    return r, p, d
 
 
-def _select_in_subprocess(flag, fake_numba=False):
-    """(NUMBA_ENABLED, fallbacks exported) for a fresh import of lpvsyn with
-    LPVSYN_DISABLE_NUMBA set to ``flag`` (None: unset)."""
-    env = dict(os.environ)
-    env.pop("LPVSYN_DISABLE_NUMBA", None)
-    if flag is not None:
-        env["LPVSYN_DISABLE_NUMBA"] = flag
-    package_dir = os.path.dirname(os.path.abspath(_kernels.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
-        os.path.dirname(package_dir), os.environ.get("PYTHONPATH")]))
-    code = _PROBE.format(fake=fake_numba, names=KERNEL_NAMES)
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, timeout=120)
-    assert out.returncode == 0, out.stderr
-    enabled, fallbacks = out.stdout.split()
-    return enabled == "True", fallbacks == "True"
+def oracle_loop(model, ctrl, r, p, d):
+    params = ctrl.params
+    return closed_loop_recursion(
+        model.a0, model.a1, model.b, model.c, ctrl.a_n, ctrl.b_n, ctrl.a_d,
+        ctrl.b_d, params.wbar, params.vbar, *params.sched.p_range,
+        r.samples, p.samples, d.samples, OVERFLOW_LIMIT)
 
 
-def test_numba_is_active_by_default():
-    # numba is used exactly when the flag is unset and numba imports.
-    flag_unset = not os.environ.get("LPVSYN_DISABLE_NUMBA")
-    assert _kernels.NUMBA_ENABLED == (flag_unset and _numba_importable())
-    for name in KERNEL_NAMES:
-        exported = getattr(_kernels, name)
-        fallback = getattr(_kernels, name + "_py")
-        assert (exported is fallback) == (not _kernels.NUMBA_ENABLED), name
-
-    # The flag selects the fallbacks whether or not numba is installed.
-    assert _select_in_subprocess("1") == (False, True)
-    # With numba importable, the kernels are compiled by default, and any
-    # non-empty flag value, "0" included, still selects the fallbacks.
-    assert _select_in_subprocess(None, fake_numba=True) == (True, False)
-    assert _select_in_subprocess("0", fake_numba=True) == (False, True)
+def assert_loop_matches_oracle(seed, n, **controller):
+    rng = np.random.default_rng(seed)
+    model, ctrl = random_model(rng), random_controller(rng, **controller)
+    r, p, d = signals(rng, n)
+    tr = simulate_closed_loop(model, ctrl, r, p, d)
+    e, u, y, diverged = oracle_loop(model, ctrl, r, p, d)
+    assert diverged == -1
+    for got, want in ((tr.e, e), (tr.u, u), (tr.y, y)):
+        assert rel_err(got, want) <= 1e-12
 
 
-def test_lpv_recursion_paths_agree():
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_closed_loop_matches_oracle(m):
+    # 2600 samples span three blocks of the lifted recursion
+    assert_loop_matches_oracle(m, 2600, m=m)
+
+
+def test_zero_order_controller_banks():
+    assert_loop_matches_oracle(4, 600, order_n=0, order_d=0)
+
+
+def test_overflow_detection():
+    # |y| passes OVERFLOW_LIMIT near sample 70 (first block) or 1400 (second)
+    for growth in (1.5, 1.02):
+        rng = np.random.default_rng(5)
+        model = random_model(rng, growth)
+        ctrl = random_controller(rng)
+        r, p, d = signals(rng, 3000)
+        *_, want = oracle_loop(model, ctrl, r, p, d)
+        assert (want >= _kernels.CHUNK) == (growth < 1.1)
+        with pytest.raises(SimulationDivergedError) as err:
+            simulate_closed_loop(model, ctrl, r, p, d)
+        assert err.value.sample_index == want
+
+
+def test_first_bad_index():
+    y = np.array([0.0, -2.0, 1.0, np.inf, np.nan])
+    assert _kernels.first_bad_index(y, 2.0) == 3
+    assert _kernels.first_bad_index(y, 1.5) == 1
+    assert _kernels.first_bad_index(y[:3], 2.0) == -1
+    assert _kernels.first_bad_index(np.array([1.0, np.nan]), 2.0) == 1
+
+
+@pytest.mark.parametrize("stable", [True, False], ids=["stable", "surrogate"])
+def test_lpv_recursion_matches_oracle(model, stable):
+    # the stable random model and the locally unstable surrogate, whose
+    # output grows by orders of magnitude over the record
     rng = np.random.default_rng(1)
-    a0 = np.diag([0.9, 0.8]) + 0.01 * rng.standard_normal((2, 2))
-    a1 = 0.002 * rng.standard_normal((2, 2))
-    b = rng.standard_normal(2)
-    c = rng.standard_normal(2)
-    u = rng.standard_normal(500)
-    p = 35.0 + 5.0 * np.cos(np.arange(500) / 30.0)
-    x0 = np.zeros(2)
-    y_jit = _kernels.lpv_recursion(a0, a1, b, c, u, p, x0)
-    y_py = _kernels.lpv_recursion_py(a0, a1, b, c, u, p, x0)
-    assert np.array_equal(y_jit, y_py)
+    m = random_model(rng) if stable else model
+    n = 2500
+    u = rng.standard_normal(n)
+    p = np.where(np.arange(n) % 300 < 150, 30.0, 35.0 + 5.0 * np.cos(np.arange(n) / 30.0))
+    out = simulate_lpv(m, TimeRecord(u, FS), TimeRecord(p, FS))
+    want = lpv_recursion(m.a0, m.a1, m.b, m.c, u, p, np.zeros(m.state_dim))
+    assert rel_err(out.samples, want) <= 1e-12
 
 
-def test_closed_loop_paths_agree(loop_args):
-    out_jit = _kernels.closed_loop_recursion(*loop_args)
-    out_py = _kernels.closed_loop_recursion_py(*loop_args)
-    assert out_jit[3] == out_py[3] == -1
-    for a, b in zip(out_jit[:3], out_py[:3]):
-        assert np.array_equal(a, b)
+@pytest.mark.parametrize("noise_std,period", [(0.0, None), (0.05, None),
+                                              (0.0, 1024)])
+def test_lti_experiment_matches_oracle(model, k0, noise_std, period):
+    n, seed = 4096, 11
+    ak, bk, ck, dk = controllable_canonical(k0)
+    for p in (30.0, 40.0, 50.0):
+        d, u_g, y = generate_experiment(model, k0, p, n, noise_std, seed,
+                                        periodic_period=period)
+        rng = np.random.default_rng(seed)
+        rng.standard_normal(period or n)
+        noise = (noise_std * rng.standard_normal(n) if noise_std
+                 else np.zeros(n))
+        u_want, y_want, diverged = lti_experiment_recursion(
+            model.a_at(p), model.b, model.c, ak, bk, ck, dk, d.samples, noise,
+            1e12)
+        assert diverged == -1
+        assert rel_err(u_g.samples, u_want) <= 1e-7
+        assert rel_err(y.samples, y_want) <= 1e-7
 
 
-def test_lti_experiment_paths_agree():
-    rng = np.random.default_rng(3)
-    a_p = np.diag([0.9, 0.8, 0.7])
-    b = rng.standard_normal(3)
-    c = rng.standard_normal(3)
-    ak = np.array([[0.5, -0.1], [1.0, 0.0]])
-    bk = np.array([1.0, 0.0])
-    ck = 0.05 * rng.standard_normal(2)
-    d = rng.standard_normal(800)
-    noise = 0.01 * rng.standard_normal(800)
-    args = (a_p, b, c, ak, bk, ck, 0.02, d, noise, 1e12)
-    out_jit = _kernels.lti_experiment_recursion(*args)
-    out_py = _kernels.lti_experiment_recursion_py(*args)
-    assert out_jit[2] == out_py[2] == -1
-    assert np.array_equal(out_jit[0], out_py[0])
-    assert np.array_equal(out_jit[1], out_py[1])
-
-
-def test_overflow_detection(loop_args):
-    args = list(loop_args)
-    args[0] = np.eye(3) * 1.5  # violently unstable plant
-    args[15] = 1e6
-    for fn in (_kernels.closed_loop_recursion, _kernels.closed_loop_recursion_py):
-        e, u, y, diverged = fn(*args)
-        assert diverged >= 0
-
-
-def test_zero_order_controller_banks(loop_args):
-    args = list(loop_args)
-    args[4] = np.zeros((0, 0))
-    args[5] = np.zeros(0)
-    args[6] = np.zeros((0, 0))
-    args[7] = np.zeros(0)
-    args[8] = np.full((1, 2), 0.3)
-    vbar = np.zeros((1, 2))
-    vbar[0, 0] = 1.0
-    args[9] = vbar
-    out_jit = _kernels.closed_loop_recursion(*args)
-    out_py = _kernels.closed_loop_recursion_py(*args)
-    assert out_jit[3] == out_py[3] == -1
-    assert np.array_equal(out_jit[1], out_py[1])
+def test_experiment_overflow_reports_first_index(model, k0):
+    n, p = 64, 40.0
+    d_std = 1e16
+    with pytest.raises(SimulationDivergedError) as err:
+        generate_experiment(model, k0, p, n, 0.0, seed=2, d_std=d_std)
+    d = d_std * np.random.default_rng(2).standard_normal(n)
+    ak, bk, ck, dk = controllable_canonical(k0)
+    *_, want = lti_experiment_recursion(model.a_at(p), model.b, model.c, ak,
+                                        bk, ck, dk, d, np.zeros(n), 1e12)
+    assert want > 0
+    assert err.value.sample_index == want

@@ -10,8 +10,9 @@ from lpvsyn import (FrequencyGrid, SchedulingBasis, TimeRecord, Trace,
                     laguerre_basis, simulate_closed_loop, square_scheduling,
                     step_metrics)
 from lpvsyn.exceptions import SimulationDivergedError
-from lpvsyn.lfr import frozen_lfr_matrices
+from lpvsyn.lfr import OVERFLOW_LIMIT, frozen_lfr_matrices
 from lpvsyn.synthesis import ParameterLayout
+from recursion_oracle import closed_loop_recursion, controllable_canonical
 
 
 def static_controller(c, p_range=(30.0, 50.0)):
@@ -88,7 +89,6 @@ class TestSimulateClosedLoop:
         # controllable canonical form and interconnected with the plant
         # (direct-form filtering of the degree-13 closed-loop rationals is too
         # ill-conditioned near |z| = 1 to serve as a 1e-8 reference)
-        from lpvsyn.plant import controllable_canonical
         ctrl = build_lfr(small_lpv_result.theta, model.sample_rate)
         fs = model.sample_rate
         n = 10000
@@ -163,10 +163,16 @@ class TestSimulateClosedLoop:
         r = np.zeros(n)
         r[10:] = 1.0
         zero = TimeRecord(np.zeros(n), fs)
+        sched = constant_scheduling(n, fs, 40.0)
         with pytest.raises(SimulationDivergedError) as err:
-            simulate_closed_loop(model, ctrl, TimeRecord(r, fs),
-                                 constant_scheduling(n, fs, 40.0), zero)
-        assert err.value.sample_index > 10
+            simulate_closed_loop(model, ctrl, TimeRecord(r, fs), sched, zero)
+        *_, first_bad = closed_loop_recursion(
+            model.a0, model.a1, model.b, model.c, ctrl.a_n, ctrl.b_n,
+            ctrl.a_d, ctrl.b_d, params.wbar, params.vbar,
+            *params.sched.p_range, r, sched.samples, zero.samples,
+            OVERFLOW_LIMIT)
+        assert first_bad > 10
+        assert err.value.sample_index == first_bad
 
     def test_length_mismatch(self, model, small_lpv_result):
         ctrl = build_lfr(small_lpv_result.theta, model.sample_rate)

@@ -1,3 +1,4 @@
+import csv
 import json
 from importlib import resources
 
@@ -9,8 +10,8 @@ from lpvsyn import (FrequencyGrid, LpvSurrogateModel, TimeRecord, Trace,
                     generate_experiment, internally_stable, load_surrogate,
                     load_trace, save_trace, simulate_lpv)
 from lpvsyn.exceptions import StabilizationError
-from lpvsyn.plant import controllable_canonical
 from lpvsyn.rational import RationalTf, statespace_response
+from recursion_oracle import controllable_canonical, lpv_recursion
 
 P_SCAN = np.linspace(30.0, 50.0, 21)
 
@@ -154,12 +155,8 @@ class TestSimulateLpv:
         u = rng.standard_normal(n)
         p = np.where(np.arange(n) % 100 < 50, 30.0, 50.0)
         out = simulate_lpv(model, TimeRecord(u, fs), TimeRecord(p, fs))
-        # independent plain-numpy recursion
-        x = np.zeros(3)
-        y_ref = np.zeros(n)
-        for k in range(n):
-            y_ref[k] = model.c @ x
-            x = (model.a0 + p[k] * model.a1) @ x + model.b * u[k]
+        y_ref = lpv_recursion(model.a0, model.a1, model.b, model.c, u, p,
+                              np.zeros(3))
         assert np.max(np.abs(out.samples - y_ref)) < 1e-12
         for pc in (30.0, 50.0):
             frozen = frozen_tf(model, pc).filter(u)
@@ -231,3 +228,35 @@ class TestTrace:
         back = load_trace(path, (30.0, 50.0))
         for name in ("r", "e", "u", "d", "y", "p"):
             assert np.array_equal(getattr(back, name), getattr(tr, name))
+
+    @staticmethod
+    def csv_module_bytes(trace, path):
+        """The trace file as the standard csv module writes it."""
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["t", "r", "e", "u", "d", "y", "p"])
+            for row in zip(trace.t, trace.r, trace.e, trace.u, trace.d,
+                           trace.y, trace.p):
+                writer.writerow([repr(float(v)) for v in row])
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("n", [1, 3000])
+    def test_writer_matches_csv_module_and_reads_back_exactly(self, tmp_path, n):
+        # 3000 rows span several write blocks; one row needs ndmin=2 to load
+        rng = np.random.default_rng(n)
+        signals = rng.standard_normal((5, n)) * 10.0 ** rng.integers(-300, 300, (5, n))
+        signals[:, 0] = [-0.0, 5e-324, 1e300, -1e300, 0.1]
+        tr = Trace(*signals, 30.0 + 20.0 * rng.random(n), 200.0, (30.0, 50.0))
+        path = tmp_path / "trace.csv"
+        save_trace(tr, path)
+        assert path.read_bytes() == self.csv_module_bytes(tr, tmp_path / "ref.csv")
+        back = load_trace(path, (30.0, 50.0))
+        assert len(back) == n
+        for name in ("r", "e", "u", "d", "y", "p"):
+            assert getattr(back, name).tobytes() == getattr(tr, name).tobytes()
+
+    def test_wrong_header_rejected(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("t,r,e,u,d,x,p\r\n0.0,0.0,0.0,0.0,0.0,0.0,40.0\r\n")
+        with pytest.raises(ValueError, match="header"):
+            load_trace(path, (30.0, 50.0))
