@@ -32,7 +32,7 @@ from .plant import (LpvSurrogateModel, Trace, default_experiment_controller,
                     save_trace, simulate_lpv)
 from .rational import RationalTf, internally_stable, statespace_tf
 from .selection import BasisPair, basis_selection_iterate
-from .synthesis import (ControllerParameters, ParameterLayout,
+from .synthesis import (ConstraintMap, ControllerParameters, ParameterLayout,
                         SynthesisOptions, SynthesisProblem, SynthesisResult,
                         WeightSet, add_integral_action, assemble_constraints,
                         bisect_gamma, closed_loop_data, evaluate_factors,

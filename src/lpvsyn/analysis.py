@@ -150,18 +150,19 @@ def _certify(rows_per_p: dict, grid: FrequencyGrid, eps: float,
     return (margins, multipliers), None
 
 
-def check_stability(dp_data: dict, grid: FrequencyGrid, eps: float = 1e-9,
-                    basis: ObfBasis | None = None) -> Certificate:
-    """Certify Re{D_p alpha_p} >= eps on the grid for every operating point.
+def _disc_certificate(discs: dict, grid: FrequencyGrid, eps: float,
+                      basis: ObfBasis | None, detail: dict) -> Certificate:
+    """Certify Re{(D_p - r_c) alpha_p} >= eps over ``discs`` = {p: (D_p,
+    {channel: r_c})} with one multiplier per operating point.
 
-    Refutation witnesses: vanishing characteristic data at a grid frequency,
-    or nonzero winding of D_p (the data encircles the origin, which no stable
-    multiplier can undo).  Otherwise failure to certify is inconclusive.
+    Refutation witnesses, per operating point in order: vanishing D_p at a
+    grid frequency, nonzero winding of D_p (the data encircles the origin,
+    which no stable multiplier can undo), or a disc that contains the origin.
+    Otherwise failure to certify is inconclusive.
     """
-    detail = {"grid_size": len(grid), "kind": "stability"}
     rows = {}
     delays = {}
-    for p, dp in dp_data.items():
+    for p, (dp, radii) in discs.items():
         dp = np.asarray(dp, dtype=complex)
         scale = float(np.max(np.abs(dp)))
         if scale == 0.0 or np.min(np.abs(dp)) <= 1e-12 * scale:
@@ -175,45 +176,9 @@ def check_stability(dp_data: dict, grid: FrequencyGrid, eps: float = 1e-9,
                                  "reason": "characteristic data winds around the origin"}
             return Certificate("refuted", {}, {}, eps, detail)
         # positive winding is unwound by a z^{-w} factor in the multiplier
-        rows[p] = dp * np.exp(-1j * grid.omegas * w)
-        delays[p] = w
-    result, failed_p = _certify(rows, grid, eps, basis, delays)
-    if result is None:
-        detail["failed_at"] = failed_p
-        return Certificate("inconclusive", {}, {}, eps, detail)
-    margins, multipliers = result
-    return Certificate("certified", margins, multipliers, eps, detail)
-
-
-def check_performance(data: dict, weights_on_grid: dict, gamma: float,
-                      grid: FrequencyGrid, eps: float = 1e-9,
-                      basis: ObfBasis | None = None) -> Certificate:
-    """Certify Re{(D_p - gamma^{-1}|W_c N_p^c|) alpha_p} >= eps jointly over
-    channels with one multiplier per operating point."""
-    if not gamma > 0:
-        raise ValueError("gamma must be positive")
-    gamma_inv = 0.0 if math.isinf(gamma) else 1.0 / gamma
-    detail = {"grid_size": len(grid), "kind": "performance", "gamma": gamma}
-    rows = {}
-    delays = {}
-    for p, block in data.items():
-        dp = np.asarray(block.d_p, dtype=complex)
-        scale = float(np.max(np.abs(dp)))
-        if scale == 0.0 or np.min(np.abs(dp)) <= 1e-12 * scale:
-            k = int(np.argmin(np.abs(dp)))
-            detail["witness"] = {"p": p, "omega": float(grid.omegas[k]),
-                                 "reason": "zero characteristic data"}
-            return Certificate("refuted", {}, {}, eps, detail)
-        w = grid_winding(dp)
-        if w < 0:
-            detail["witness"] = {"p": p, "winding": w,
-                                 "reason": "characteristic data winds around the origin"}
-            return Certificate("refuted", {}, {}, eps, detail)
         shift = np.exp(-1j * grid.omegas * w)
         stacked = []
-        for channel in CHANNELS:
-            radius = gamma_inv * np.abs(weights_on_grid[channel]
-                                        * block.numerator(channel))
+        for channel, radius in radii.items():
             contains = np.abs(dp) <= radius
             if np.any(contains):
                 k = int(np.argmax(contains))
@@ -230,6 +195,33 @@ def check_performance(data: dict, weights_on_grid: dict, gamma: float,
         return Certificate("inconclusive", {}, {}, eps, detail)
     margins, multipliers = result
     return Certificate("certified", margins, multipliers, eps, detail)
+
+
+def check_stability(dp_data: dict, grid: FrequencyGrid, eps: float = 1e-9,
+                    basis: ObfBasis | None = None) -> Certificate:
+    """Certify Re{D_p alpha_p} >= eps on the grid for every operating point:
+    the disc test with zero radius."""
+    discs = {p: (dp, {"stability": 0.0}) for p, dp in dp_data.items()}
+    return _disc_certificate(discs, grid, eps, basis,
+                             {"grid_size": len(grid), "kind": "stability"})
+
+
+def check_performance(data: dict, weights_on_grid: dict, gamma: float,
+                      grid: FrequencyGrid, eps: float = 1e-9,
+                      basis: ObfBasis | None = None) -> Certificate:
+    """Certify Re{(D_p - gamma^{-1}|W_c N_p^c|) alpha_p} >= eps jointly over
+    channels with one multiplier per operating point."""
+    if not gamma > 0:
+        raise ValueError("gamma must be positive")
+    gamma_inv = 0.0 if math.isinf(gamma) else 1.0 / gamma
+    discs = {}
+    for p, block in data.items():
+        radii = {c: gamma_inv * np.abs(weights_on_grid[c] * block.numerator(c))
+                 for c in CHANNELS}
+        discs[p] = (block.d_p, radii)
+    return _disc_certificate(discs, grid, eps, basis,
+                             {"grid_size": len(grid), "kind": "performance",
+                              "gamma": gamma})
 
 
 def compute_achieved_gamma(data: dict, weights_on_grid: dict) -> float:

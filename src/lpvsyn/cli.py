@@ -20,6 +20,8 @@ from .analysis import check_performance, check_stability, compute_achieved_gamma
 from .exceptions import (ConfigError, DataFormatError, EstimationError,
                          SimulationDivergedError, SolverFailureError,
                          StabilizationError, SynthesisInfeasibleError)
+# assemble_closed_loop is unused here but stays importable: the benchmark
+# tracer (perfbench/tracer.py) wraps lpvsyn.cli.assemble_closed_loop by name
 from .factorization import (CHANNELS, CoprimeFrfPair, assemble_closed_loop,
                             coprime_from_closed_loop)
 from .frfdata import (FrequencyGrid, FrfDataset, SchedulingGrid, TimeRecord,
@@ -35,7 +37,7 @@ from .plant import (LpvSurrogateModel, Trace, default_experiment_controller,
 from .rational import RationalTf
 from .synthesis import (ControllerParameters, SynthesisOptions,
                         SynthesisProblem, SynthesisResult, WeightSet,
-                        bisect_gamma, evaluate_factors)
+                        bisect_gamma, closed_loop_data)
 
 EXIT_CONFIG = 2
 EXIT_REFUTED = 3
@@ -385,18 +387,11 @@ def analyze(ctx, controller_file, gamma):
     out = _out_dir(cfg)
     dataset = load_dataset(out / "dataset.csv", sample_rate=_data_sample_rate(cfg))
     params, _ = load_controller(controller_file)
-    points = [float(p) for p in dataset.scheduling_grid.points]
-    pairs = {p: CoprimeFrfPair(dataset.response(p, "N_G"), dataset.response(p, "D_G"))
-             for p in points}
-    grid = dataset.grid
-    weights = _weights_from_config(cfg, grid.sample_rate).on_grid(grid)
-    data = {}
-    dp = {}
-    for p in points:
-        nk, dk = evaluate_factors(params, p, grid)
-        data[p] = assemble_closed_loop(pairs[p], nk, dk)
-        dp[p] = data[p].d_p
-    stab = check_stability(dp, grid)
+    problem = _problem_from_dataset(cfg, dataset)
+    grid = problem.grid
+    weights = problem.weights.on_grid(grid)
+    data = closed_loop_data(problem, params)
+    stab = check_stability({p: block.d_p for p, block in data.items()}, grid)
     perf = check_performance(data, weights, gamma, grid)
     achieved = compute_achieved_gamma(data, weights)
     payload = {
@@ -477,23 +472,21 @@ def report(ctx):
     payload = json.loads(result_path.read_text())
     params, _ = controller_from_dict(payload["controller"])
     gamma = float(payload["gamma"])
-    grid = dataset.grid
-    points = [float(p) for p in dataset.scheduling_grid.points]
-    weights = _weights_from_config(cfg, grid.sample_rate).on_grid(grid)
+    problem = _problem_from_dataset(cfg, dataset)
+    grid = problem.grid
+    weights = problem.weights.on_grid(grid)
+    data = closed_loop_data(problem, params)
     ctrl = build_lfr(params, fs)
 
     lines = ["p,omega,hz,mag,phase_deg"]
-    for p in points:
+    for p in data:
         g = dataset.response(p, "G").values
         for om, hz, v in zip(grid.omegas, grid.hz, g):
             lines.append(f"{p:g},{om!r},{hz!r},{abs(v)!r},{math.degrees(np.angle(v))!r}")
     (out / "report_plant_frf.csv").write_text("\n".join(lines) + "\n")
 
     lines = ["p,channel,omega,hz,mag,bound"]
-    for p in points:
-        pair = CoprimeFrfPair(dataset.response(p, "N_G"), dataset.response(p, "D_G"))
-        nk, dk = evaluate_factors(params, p, grid)
-        block = assemble_closed_loop(pair, nk, dk)
+    for p, block in data.items():
         for c in CHANNELS:
             mag = np.abs(block.numerator(c) / block.d_p)
             bound = gamma / np.abs(weights[c])
@@ -502,7 +495,7 @@ def report(ctx):
     (out / "report_fourblock.csv").write_text("\n".join(lines) + "\n")
 
     lines = ["p,omega,hz,mag,phase_deg"]
-    for p in points:
+    for p in data:
         resp = frozen_controller_frf(ctrl, p, grid).values
         for om, hz, v in zip(grid.omegas, grid.hz, resp):
             lines.append(f"{p:g},{om!r},{hz!r},{abs(v)!r},{math.degrees(np.angle(v))!r}")

@@ -127,7 +127,11 @@ def frozen_frf(model: LpvSurrogateModel, p: float, grid: FrequencyGrid) -> FrfRe
 
 def simulate_lpv(model: LpvSurrogateModel, input: TimeRecord,
                  scheduling: TimeRecord) -> TimeRecord:
-    """State recursion x_{k+1} = A(p_k) x_k + B u_k, y_k = C x_k from rest."""
+    """State recursion x_{k+1} = A(p_k) x_k + B u_k, y_k = C x_k from rest.
+
+    Raises ``SimulationDivergedError`` at the first sample of y that is not
+    finite; large finite outputs of a locally unstable model are returned.
+    """
     if len(input) != len(scheduling):
         raise ValueError("input and scheduling records must have equal length")
     model.check_in_range(scheduling.samples)
@@ -138,8 +142,12 @@ def simulate_lpv(model: LpvSurrogateModel, input: TimeRecord,
                 np.outer(u[lo:hi], model.b))
 
     y = np.empty(len(u))
-    for lo, hi, xs in _kernels.lifted_states(len(u), model.state_dim, chunk):
-        y[lo:hi] = xs @ model.c
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo, hi, xs in _kernels.lifted_states(len(u), model.state_dim, chunk):
+            y[lo:hi] = xs @ model.c
+            bad = _kernels.first_bad_index(y[lo:hi], np.inf)
+            if bad >= 0:
+                raise SimulationDivergedError("LPV simulation diverged", lo + bad)
     return TimeRecord(y, model.sample_rate, "y")
 
 

@@ -5,9 +5,10 @@ For fixed gamma the constraint set
     Re{D_p(w, theta)} >= gamma^{-1} |W_c(w) N_p^c(w, theta)| + eps
 
 is second-order-cone representable in the controller parameters theta (both
-D_p and the channel numerators are affine in theta).  Feasibility subproblems
-are solved as linear programs over tangent half-planes of each disc
-constraint: either a fixed fan of M planes shrunk by cos(pi/M) (a sound inner
+D_p and the channel numerators are affine in theta).  One ``ConstraintMap``,
+built once per problem, holds every disc as a row r = (p, channel, omega).
+Feasibility subproblems are linear programs over its tangent half-planes:
+either a fixed fan of M planes shrunk by cos(pi/M) (a sound inner
 approximation), or adaptively, starting from an outer relaxation and adding
 exact-phase cuts until the returned theta verifies against the true cone
 constraints or the relaxation certifies infeasibility.  An outer bisection
@@ -223,61 +224,94 @@ class SynthesisResult:
         return min(float(np.min(v)) for v in self.margins.values())
 
 
-class ConstraintBlock:
-    """Affine maps for one (operating point, channel) disc constraint family.
-
-    Over the frequency grid: Re{d_coef theta + d_off} >= gamma^{-1} |n_coef
-    theta + n_off| + eps, with the D_p map shared across the four channels of
-    one operating point.
+@dataclass(frozen=True, eq=False)
+class ConstraintMap:
+    """Row r = (p, channel, omega) of the synthesis condition reads
+    Re{D[r] theta + d0[r]} >= gamma^{-1} |N[r] theta + n0[r]| + eps, with
+    D theta + d0 the characteristic data D_p and N theta + n0 the weighted
+    numerator W_c N_p^c.  Rows are stacked by operating point, then channel
+    (``CHANNELS`` order), then frequency, so each run of ``n_freq`` rows is
+    one (p, channel) block; ``p`` and ``channel`` label every row.
     """
 
-    def __init__(self, p, channel, d_coef, d_off, n_coef, n_off):
-        self.p = p
-        self.channel = channel
-        self.d_coef = d_coef
-        self.d_off = d_off
-        self.n_coef = n_coef
-        self.n_off = n_off
+    D: np.ndarray
+    d0: np.ndarray
+    N: np.ndarray
+    n0: np.ndarray
+    p: np.ndarray
+    channel: np.ndarray
+    n_freq: int
 
-    def true_margins(self, theta: np.ndarray, gamma_inv: float, eps: float) -> np.ndarray:
-        d = self.d_coef @ theta + self.d_off
-        n = self.n_coef @ theta + self.n_off
-        return d.real - gamma_inv * np.abs(n) - eps
+    def apply(self, coef: np.ndarray, off: np.ndarray, rows, theta: np.ndarray):
+        """coef theta + off at the sorted ``rows``, one product per (p, channel)
+        block.  BLAS rounds by row count (one row is a dot), and the cut loop
+        near gamma* turns last-bit differences into other LP counts, so the
+        grouping is fixed to keep gamma and the LP count reproducible."""
+        bounds = np.searchsorted(rows, np.arange(self.n_freq, self.d0.size, self.n_freq))
+        return np.concatenate([coef[r] @ theta + off[r] for r in np.split(rows, bounds)])
+
+    def evaluate(self, theta: np.ndarray, gamma_inv: float, eps: float):
+        """(true margins, Re{D theta + d0}) at every row."""
+        rows = np.arange(self.d0.size)
+        re_d = self.apply(self.D, self.d0, rows, theta).real
+        n_abs = np.abs(self.apply(self.N, self.n0, rows, theta))
+        return re_d - gamma_inv * n_abs - eps, re_d
+
+    def fan(self, angles: np.ndarray):
+        """(rows, cos, sin) of one tangent plane per row and angle, ordered
+        by (p, channel), then angle, then frequency."""
+        blocks = np.arange(self.d0.size).reshape(-1, 1, self.n_freq)
+        fan = np.broadcast_arrays(blocks, np.cos(angles)[:, None], np.sin(angles)[:, None])
+        return tuple(a.ravel() for a in fan)
+
+    def tangent_rows(self, rows, cos, sin, scale: float, eps: float):
+        """LP rows a theta <= b of the tangent half-planes
+        Re{D theta + d0} - scale (cos Re + sin Im){N theta + n0} >= eps
+        at the given rows and phase angles."""
+        n, n0, d0 = self.N[rows], self.n0[rows], self.d0[rows]
+        a = scale * (cos[:, None] * n.real + sin[:, None] * n.imag) - self.D[rows].real
+        b = d0.real - scale * (cos * n0.real + sin * n0.imag) - eps
+        return a, b
+
+    def by_block(self, values: np.ndarray) -> dict:
+        """Per-row values as {(p, channel): per-frequency array}."""
+        starts = range(0, values.size, self.n_freq)
+        return {(float(self.p[r]), str(self.channel[r])): values[r:r + self.n_freq]
+                for r in starts}
 
 
-def _problem_blocks(problem: SynthesisProblem) -> list:
-    """Gamma-independent constraint data for every (operating point, channel)."""
+def constraint_map(problem: SynthesisProblem) -> ConstraintMap:
+    """Gamma-independent constraint map of every (operating point, channel,
+    frequency) row."""
     layout = problem.layout
     w_grid = problem.weights.on_grid(problem.grid)
     n_freq = len(problem.grid)
     phi_n = eval_basis(problem.basis_n, problem.grid)
     phi_d = eval_basis(problem.basis_d, problem.grid)
-    blocks = []
+    zeros = np.zeros(n_freq, dtype=complex)
+    parts = []
     for p in problem.scheduling_grid.points:
         p = float(p)
         pair = problem.pairs[p]
         psi = scheduling_eval(problem.sched_basis, p)
-        cn = np.einsum("iw,l->wil", phi_n, psi).reshape(n_freq, layout.n_w)
-        cd = np.einsum("iw,l->wil", phi_d[1:], psi).reshape(n_freq, layout.n_v)
-        dk_off = phi_d[0]
-        n_g = pair.n_g.values[:, None]
-        d_g = pair.d_g.values[:, None]
-        zeros_w = np.zeros((n_freq, layout.n_w), dtype=complex)
-        zeros_v = np.zeros((n_freq, layout.n_v), dtype=complex)
-        d_coef = np.hstack([n_g * cn, d_g * cd])
-        d_off = pair.d_g.values * dk_off
-        channel_maps = {
-            "S": (np.hstack([zeros_w, d_g * cd]), pair.d_g.values * dk_off),
-            "GS": (np.hstack([zeros_w, n_g * cd]), pair.n_g.values * dk_off),
-            "KS": (np.hstack([d_g * cn, zeros_v]), np.zeros(n_freq, dtype=complex)),
-            "T": (np.hstack([n_g * cn, zeros_v]), np.zeros(n_freq, dtype=complex)),
-        }
-        for channel in CHANNELS:
+        # N_K = nk theta and D_K = dk theta + phi_d[0], affine in theta
+        nk = np.zeros((n_freq, layout.size), dtype=complex)
+        dk = np.zeros((n_freq, layout.size), dtype=complex)
+        nk[:, :layout.n_w] = np.einsum("iw,l->wil", phi_n, psi).reshape(n_freq, -1)
+        dk[:, layout.n_w:] = np.einsum("iw,l->wil", phi_d[1:], psi).reshape(n_freq, -1)
+        n_g, d_g = pair.n_g.values, pair.d_g.values
+        d_p = n_g[:, None] * nk + d_g[:, None] * dk
+        # numerators D_G D_K, N_G D_K, D_G N_K, N_G N_K of S, GS, KS, T
+        numerators = ((d_g, dk, phi_d[0]), (n_g, dk, phi_d[0]),
+                      (d_g, nk, zeros), (n_g, nk, zeros))
+        for channel, (g, k, k0) in zip(CHANNELS, numerators):
             w = w_grid[channel]
-            n_coef, n_off = channel_maps[channel]
-            blocks.append(ConstraintBlock(p, channel, d_coef, d_off,
-                                          w[:, None] * n_coef, w * n_off))
-    return blocks
+            parts.append((d_p, d_g * phi_d[0], w[:, None] * (g[:, None] * k),
+                          w * (g * k0), p, channel))
+    D, d0, N, n0, ps, channels = zip(*parts)
+    return ConstraintMap(np.vstack(D), np.concatenate(d0), np.vstack(N),
+                         np.concatenate(n0), np.repeat(ps, n_freq),
+                         np.repeat(channels, n_freq), n_freq)
 
 
 def default_eps(problem: SynthesisProblem) -> float:
@@ -286,18 +320,18 @@ def default_eps(problem: SynthesisProblem) -> float:
     return 1e-6 * float(np.median(mags))
 
 
-def assemble_constraints(problem: SynthesisProblem, gamma: float) -> list:
+def assemble_constraints(problem: SynthesisProblem, gamma: float) -> tuple:
     """Cone constraints of the synthesis condition at performance level gamma.
 
-    Each entry is (block, gamma_inv, eps): Re{D_p} >= gamma_inv |W_c N_p^c| +
-    eps over the grid, affine in theta.  gamma = inf yields the
-    stability-only constraints Re{D_p} >= eps.
+    Returns (map, gamma_inv, eps): Re{D_p} >= gamma_inv |W_c N_p^c| + eps at
+    every row of the constraint map, affine in theta.  gamma = inf yields
+    the stability-only constraints Re{D_p} >= eps.
     """
     if not gamma > 0:
         raise ValueError("gamma must be positive")
     eps = problem.options.eps if problem.options.eps is not None else default_eps(problem)
     gamma_inv = 0.0 if math.isinf(gamma) else 1.0 / gamma
-    return [(block, gamma_inv, eps) for block in _problem_blocks(problem)]
+    return constraint_map(problem), gamma_inv, eps
 
 
 def add_integral_action(problem: SynthesisProblem):
@@ -342,26 +376,12 @@ class FeasibilityOutcome:
 _BASE_ANGLES = np.array([0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi])
 
 
-def _lp_rows(block, angles_cos, angles_sin, gamma_inv, eps, factor):
-    """Stack tangent-plane rows for one block and one set of angles."""
-    re_n = block.n_coef.real
-    im_n = block.n_coef.imag
-    rows = []
-    rhs = []
-    for ca, sa in zip(angles_cos, angles_sin):
-        a = gamma_inv * factor * (ca * re_n + sa * im_n) - block.d_coef.real
-        b = (block.d_off.real - gamma_inv * factor *
-             (ca * block.n_off.real + sa * block.n_off.imag) - eps)
-        rows.append(a)
-        rhs.append(b)
-    return np.vstack(rows), np.concatenate(rhs)
-
-
-def feasibility_solve(constraints: list, equalities=None,
+def feasibility_solve(constraints: tuple, equalities=None,
                       options: SynthesisOptions | None = None) -> FeasibilityOutcome:
     """Find theta satisfying every cone constraint strictly, or certify
     infeasibility.
 
+    ``constraints`` is (map, gamma_inv, eps) from ``assemble_constraints``.
     Solves max-margin linear programs over tangent half-planes.  In adaptive
     mode the LP is an outer relaxation refined with exact-phase cuts at
     violated points, so "infeasible" is a certificate; a returned theta is
@@ -369,10 +389,8 @@ def feasibility_solve(constraints: list, equalities=None,
     raise, distinct from infeasibility.
     """
     options = options or SynthesisOptions()
-    blocks = [c[0] for c in constraints]
-    gamma_invs = [c[1] for c in constraints]
-    epss = [c[2] for c in constraints]
-    n_theta = blocks[0].d_coef.shape[1] if blocks else 0
+    cmap, gamma_inv, eps = constraints
+    n_theta = cmap.D.shape[1]
     adaptive = options.planes == "adaptive"
     if adaptive:
         angles = _BASE_ANGLES
@@ -381,11 +399,8 @@ def feasibility_solve(constraints: list, equalities=None,
         m_planes = int(options.planes)
         angles = 2.0 * math.pi * np.arange(m_planes) / m_planes
         factor = 1.0 / math.cos(math.pi / m_planes)
-
-    base = [_lp_rows(b, np.cos(angles), np.sin(angles), gi, ep, factor)
-            for b, gi, ep in zip(blocks, gamma_invs, epss)]
-    a_rows = [r for r, _ in base]
-    b_rows = [r for _, r in base]
+    a_base, b_base = cmap.tangent_rows(*cmap.fan(angles), gamma_inv * factor, eps)
+    a_rows, b_rows = [a_base], [b_base]
 
     a_eq = b_eq = None
     if equalities is not None:
@@ -398,7 +413,7 @@ def feasibility_solve(constraints: list, equalities=None,
 
     lp_solves = 0
     cuts_added = 0
-    for round_idx in range(options.max_cut_rounds):
+    for _ in range(options.max_cut_rounds):
         a_ub = np.vstack(a_rows)
         b_ub = np.concatenate(b_rows)
         a_ub = np.hstack([a_ub, np.ones((a_ub.shape[0], 1))])
@@ -417,37 +432,23 @@ def feasibility_solve(constraints: list, equalities=None,
                "plane_factor": factor, "lp_margin": t_star}
         if t_star < 0.0:
             return FeasibilityOutcome("infeasible", None, t_star, tel)
-        true_min = math.inf
-        violated = False
-        for blk, gi, ep in zip(blocks, gamma_invs, epss):
-            marg = blk.true_margins(theta, gi, ep)
-            true_min = min(true_min, float(marg.min()))
-            if not adaptive:
-                continue
-            bad = np.flatnonzero(marg < -1e-12)
-            if bad.size:
-                violated = True
-                n_val = blk.n_coef[bad] @ theta + blk.n_off[bad]
-                phases = np.angle(n_val)
-                re_n = blk.n_coef[bad].real
-                im_n = blk.n_coef[bad].imag
-                ca = np.cos(phases)[:, None]
-                sa = np.sin(phases)[:, None]
-                a_new = gi * (ca * re_n + sa * im_n) - blk.d_coef[bad].real
-                b_new = (blk.d_off[bad].real - gi *
-                         (np.cos(phases) * blk.n_off[bad].real
-                          + np.sin(phases) * blk.n_off[bad].imag) - ep)
-                a_rows.append(a_new)
-                b_rows.append(b_new)
-                cuts_added += bad.size
-        tel["margin"] = true_min
+        margins, _ = cmap.evaluate(theta, gamma_inv, eps)
+        tel["margin"] = true_min = float(margins.min())
         if not adaptive:
             if true_min < -1e-12:
                 raise SolverFailureError(
                     "fixed-plane solution violates the cone constraints")
             return FeasibilityOutcome("feasible", theta, true_min, tel)
-        if not violated:
+        bad = np.flatnonzero(margins < -1e-12)
+        if not bad.size:
             return FeasibilityOutcome("feasible", theta, true_min, tel)
+        # exact-phase cuts: planes touching each violated disc at its phase
+        phases = np.angle(cmap.apply(cmap.N, cmap.n0, bad, theta))
+        a_new, b_new = cmap.tangent_rows(bad, np.cos(phases), np.sin(phases),
+                                         gamma_inv, eps)
+        a_rows.append(a_new)
+        b_rows.append(b_new)
+        cuts_added += bad.size
     raise SolverFailureError("cutting-plane refinement did not converge")
 
 
@@ -461,7 +462,7 @@ def bisect_gamma(problem: SynthesisProblem) -> SynthesisResult:
     """Minimize gamma by bisection over cone-feasibility subproblems."""
     options = problem.options
     eps = options.eps if options.eps is not None else default_eps(problem)
-    blocks = _problem_blocks(problem)
+    cmap = constraint_map(problem)
     equalities = add_integral_action(problem) if options.integral_action else None
     layout = problem.layout
 
@@ -471,8 +472,7 @@ def bisect_gamma(problem: SynthesisProblem) -> SynthesisResult:
     def solve_at(gamma: float) -> FeasibilityOutcome:
         nonlocal lp_solves
         gamma_inv = 0.0 if math.isinf(gamma) else 1.0 / gamma
-        out = feasibility_solve([(b, gamma_inv, eps) for b in blocks],
-                                equalities, options)
+        out = feasibility_solve((cmap, gamma_inv, eps), equalities, options)
         lp_solves += out.telemetry["lp_solves"]
         return out
 
@@ -502,14 +502,10 @@ def bisect_gamma(problem: SynthesisProblem) -> SynthesisResult:
 
     gamma_star, theta_star = best
     params = layout.unpack(theta_star)
-    gamma_inv = 1.0 / gamma_star
-    margins = {}
-    re_dp_min = math.inf
-    for blk in blocks:
-        margins[(blk.p, blk.channel)] = blk.true_margins(theta_star, gamma_inv, eps)
-        re_dp = (blk.d_coef @ theta_star + blk.d_off).real
-        re_dp_min = min(re_dp_min, float(re_dp.min()))
-    worst = min(float(np.min(v)) for v in margins.values())
+    all_margins, re_dp = cmap.evaluate(theta_star, 1.0 / gamma_star, eps)
+    margins = cmap.by_block(all_margins)
+    re_dp_min = float(re_dp.min())
+    worst = float(all_margins.min())
     if worst < -1e-9 or re_dp_min < eps - 1e-9:
         raise SolverFailureError(
             f"recomputed margins are negative (min {worst:.3e}); "
@@ -519,8 +515,7 @@ def bisect_gamma(problem: SynthesisProblem) -> SynthesisResult:
         "lp_solves": lp_solves,
         "eps": eps,
         "planes": options.planes,
-        "plane_factor": (1.0 if options.planes == "adaptive"
-                         else 1.0 / math.cos(math.pi / int(options.planes))),
+        "plane_factor": out_hi.telemetry["plane_factor"],
         "wall_time_s": time.perf_counter() - t_start,
         "gamma_bracket": (lo, hi),
     }

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lpvsyn import (FrequencyGrid, RationalTf, SchedulingBasis, SchedulingGrid,
-                    SynthesisOptions, SynthesisProblem, bisect_gamma,
+                    SynthesisOptions, SynthesisProblem, WeightSet, bisect_gamma,
                     default_experiment_controller, default_surrogate,
                     frozen_coprime_from_model, frozen_tf, laguerre_basis)
 from lpvsyn.defaults import default_weights
@@ -80,6 +80,21 @@ def make_problem(pairs, weights, grid, sched_grid, m=2, order=5, pole=0.7,
     return SynthesisProblem(pairs, weights, grid, sched_grid,
                             laguerre_basis(pole, order), laguerre_basis(pole, order),
                             sched, opts)
+
+
+def unstable_plant_problem(omegas, **options):
+    """G = 1/(z-2) with K0 = 2, one operating point, all weights one."""
+    grid = FrequencyGrid(np.asarray(omegas))
+    g = RationalTf([1.0], [1.0, -2.0])
+    pair, _ = frozen_coprime_from_model(g, RationalTf.constant(2.0), grid)
+    sched_grid = SchedulingGrid(np.array([0.0]), (-1.0, 1.0))
+    one = RationalTf.constant(1.0)
+    return SynthesisProblem({0.0: pair}, WeightSet(one, one, one, one),
+                            grid, sched_grid, laguerre_basis(0.5, 1),
+                            laguerre_basis(0.5, 1),
+                            SchedulingBasis.constant((-1.0, 1.0)),
+                            SynthesisOptions(eps=1e-6, integral_action=False,
+                                             **options))
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,11 @@ import inspect
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from conftest import unstable_plant_problem
+from lpvsyn import cli
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -60,3 +64,23 @@ def test_counters_read_the_right_argument(tracer, module_name, attr, index,
     count = getattr(tracer, counter)
     assert count(tuple(args), {}, None) == {key: 7}
     assert count(tuple(args[:index]), {param: value}, None) == {key: 7}
+
+
+def test_tracer_counts_every_synthesis_lp(tracer):
+    # the LP counter reads A_ub by keyword, and the feasibility and bisection
+    # spans come from wrapping bisect_gamma and feasibility_solve by name
+    problem = unstable_plant_problem(np.linspace(0.05, 3.0, 16), gamma_lo=1.0,
+                                     gamma_hi=100.0, gamma_rtol=0.05)
+    rec = tracer.Tracer()
+    rec.install()
+    try:
+        result = cli.bisect_gamma(problem)
+    finally:
+        rec.uninstall()
+    metrics = tracer.layer_metrics(rec.spans)
+    assert metrics["synthesis.lp_solves"] == metrics["telemetry_lp_solves"] \
+        == result.telemetry["lp_solves"]
+    assert result.telemetry["bisect_steps"] > 0
+    assert metrics["synthesis.feasibility_solves"] \
+        == 2 + result.telemetry["bisect_steps"]
+    assert metrics["synthesis.lp_rows_max"] > 0

@@ -9,7 +9,8 @@ from lpvsyn import (FrequencyGrid, LpvSurrogateModel, TimeRecord, Trace,
                     closed_loop_to_plant, etfe_estimate, frozen_frf, frozen_tf,
                     generate_experiment, internally_stable, load_surrogate,
                     load_trace, save_trace, simulate_lpv)
-from lpvsyn.exceptions import StabilizationError
+from lpvsyn import _kernels
+from lpvsyn.exceptions import SimulationDivergedError, StabilizationError
 from lpvsyn.rational import RationalTf, statespace_response
 from recursion_oracle import controllable_canonical, lpv_recursion
 
@@ -168,6 +169,21 @@ class TestSimulateLpv:
         with pytest.raises(ValueError):
             simulate_lpv(model, TimeRecord(np.zeros(n), fs),
                          TimeRecord(np.full(n, 60.0), fs))
+
+    def test_divergence_reports_first_bad_sample(self, model):
+        # a unit input on the locally unstable frozen model at p = 40 grows
+        # until float64 overflows, near sample 71000
+        n, p = 80000, 40.0
+        fs = model.sample_rate
+        u = np.ones(n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = lpv_recursion(model.a0, model.a1, model.b, model.c, u,
+                              np.full(n, p), np.zeros(3))
+        want = _kernels.first_bad_index(y, np.inf)
+        assert 0 < want < n and want % _kernels.CHUNK
+        with pytest.raises(SimulationDivergedError) as err:
+            simulate_lpv(model, TimeRecord(u, fs), TimeRecord(np.full(n, p), fs))
+        assert err.value.sample_index == want
 
 
 class TestGenerateExperiment:

@@ -1,19 +1,20 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from lpvsyn import (ControllerParameters, FrequencyGrid, FrfResponse,
+from lpvsyn import (CHANNELS, ControllerParameters, FrequencyGrid, FrfResponse,
                     CoprimeFrfPair, RationalTf, SchedulingBasis,
                     SchedulingGrid, SynthesisOptions, SynthesisProblem,
                     WeightSet, add_integral_action, assemble_constraints,
                     bisect_gamma, closed_loop_data, evaluate_factors,
                     factor_rationals, feasibility_solve, frozen_controller_tf,
                     frozen_coprime_from_model, laguerre_basis)
-from lpvsyn.exceptions import SynthesisInfeasibleError
+from lpvsyn.exceptions import SolverFailureError, SynthesisInfeasibleError
 from lpvsyn.obf import scheduling_eval
 from lpvsyn.synthesis import ParameterLayout
-from conftest import make_problem
+from conftest import make_problem, unstable_plant_problem
 
 
 def unit_weightset():
@@ -121,29 +122,25 @@ class TestEvaluateFactors:
 
 class TestAssembleConstraints:
     def test_count(self, small_problem):
-        constraints = assemble_constraints(small_problem, 2.0)
-        total = sum(c[0].d_coef.shape[0] for c in constraints)
-        assert total == len(small_problem.grid) * 3 * 4
+        cmap, _, _ = assemble_constraints(small_problem, 2.0)
+        rows = len(small_problem.grid) * 3 * 4
+        for arr in (cmap.D, cmap.d0, cmap.N, cmap.n0, cmap.p, cmap.channel):
+            assert arr.shape[0] == rows
+        assert cmap.D.shape[1] == cmap.N.shape[1] == small_problem.layout.size
+        # rows are stacked by operating point, then channel, then frequency
+        blocks = [(p, c) for p in (30.0, 40.0, 50.0) for c in CHANNELS]
+        assert list(cmap.by_block(np.zeros(rows))) == blocks
 
     def test_gamma_inf_reduces_to_stability_only(self, small_problem):
-        constraints = assemble_constraints(small_problem, math.inf)
-        assert all(c[1] == 0.0 for c in constraints)
+        _, gamma_inv, _ = assemble_constraints(small_problem, math.inf)
+        assert gamma_inv == 0.0
 
     def test_hand_assembled_single_frequency(self):
         # G = 1/(z-2) with K0 = 2 on one frequency; all weights one
         omega = np.pi / 3
-        grid = FrequencyGrid(np.array([omega]))
-        g = RationalTf([1.0], [1.0, -2.0])
-        pair, _ = frozen_coprime_from_model(g, RationalTf.constant(2.0), grid)
-        sched_grid = SchedulingGrid(np.array([0.0]), (-1.0, 1.0))
-        one = RationalTf.constant(1.0)
-        problem = SynthesisProblem({0.0: pair}, WeightSet(one, one, one, one),
-                                   grid, sched_grid, laguerre_basis(0.5, 1),
-                                   laguerre_basis(0.5, 1),
-                                   SchedulingBasis.constant((-1.0, 1.0)),
-                                   SynthesisOptions(eps=1e-6, integral_action=False))
+        problem = unstable_plant_problem([omega])
         gamma = 2.0
-        constraints = assemble_constraints(problem, gamma)
+        cmap, gamma_inv, eps = assemble_constraints(problem, gamma)
         layout = problem.layout
         rng = np.random.default_rng(4)
         theta = rng.standard_normal(layout.size)
@@ -158,53 +155,64 @@ class TestAssembleConstraints:
         d_g = (z - 2.0) / z
         d_p = d_g * dk + n_g * nk
         numerators = {"S": d_g * dk, "GS": n_g * dk, "KS": d_g * nk, "T": n_g * nk}
-        for block, gamma_inv, eps in constraints:
-            expected = d_p.real - gamma_inv * abs(numerators[block.channel]) - eps
-            got = block.true_margins(theta, gamma_inv, eps)[0]
+        margins = cmap.evaluate(theta, gamma_inv, eps)[0]
+        assert list(cmap.channel) == list(CHANNELS)
+        for channel, got in zip(cmap.channel, margins):
+            expected = d_p.real - gamma_inv * abs(numerators[channel]) - eps
             assert got == pytest.approx(expected, abs=1e-12)
 
     def test_linearity_against_finite_differences(self, small_problem):
-        constraints = assemble_constraints(small_problem, 2.0)
-        block = constraints[0][0]
+        cmap, _, _ = assemble_constraints(small_problem, 2.0)
         layout = small_problem.layout
         rng = np.random.default_rng(5)
         theta = rng.standard_normal(layout.size)
         for i in (0, layout.size - 1):
             e = np.zeros(layout.size)
             e[i] = 1.0
-            fd_d = (block.d_coef @ (theta + e) + block.d_off) - \
-                   (block.d_coef @ theta + block.d_off)
-            assert np.max(np.abs(fd_d - block.d_coef[:, i])) < 1e-9
-            fd_n = (block.n_coef @ (theta + e)) - (block.n_coef @ theta)
-            assert np.max(np.abs(fd_n - block.n_coef[:, i])) < 1e-9
+            fd_d = (cmap.D @ (theta + e) + cmap.d0) - (cmap.D @ theta + cmap.d0)
+            assert np.max(np.abs(fd_d - cmap.D[:, i])) < 1e-9
+            fd_n = (cmap.N @ (theta + e)) - (cmap.N @ theta)
+            assert np.max(np.abs(fd_n - cmap.N[:, i])) < 1e-9
 
 
 class TestFeasibility:
     def test_witness_coefficients_are_feasible(self):
         # stability-only constraints: the constant-controller witness theta
         # reproduces the unit characteristic data
-        grid = FrequencyGrid(np.linspace(0.05, 3.0, 16))
-        g = RationalTf([1.0], [1.0, -2.0])
-        pair, _ = frozen_coprime_from_model(g, RationalTf.constant(2.0), grid)
-        sched_grid = SchedulingGrid(np.array([0.0]), (-1.0, 1.0))
-        one = RationalTf.constant(1.0)
-        problem = SynthesisProblem({0.0: pair}, WeightSet(one, one, one, one),
-                                   grid, sched_grid, laguerre_basis(0.5, 1),
-                                   laguerre_basis(0.5, 1),
-                                   SchedulingBasis.constant((-1.0, 1.0)),
-                                   SynthesisOptions(eps=1e-6, integral_action=False))
+        problem = unstable_plant_problem(np.linspace(0.05, 3.0, 16))
         constraints = assemble_constraints(problem, math.inf)
-        layout = problem.layout
-        witness = np.zeros(layout.size)
-        witness[layout.w_index(0, 0)] = 2.0
-        for block, gamma_inv, eps in constraints:
-            if block.channel == "S":
-                dp = block.d_coef @ witness + block.d_off
-                assert np.max(np.abs(dp - 1.0)) < 1e-9
-            assert block.true_margins(witness, gamma_inv, eps).min() > 0
+        cmap, gamma_inv, eps = constraints
+        witness = np.zeros(problem.layout.size)
+        witness[problem.layout.w_index(0, 0)] = 2.0
+        dp = cmap.D @ witness + cmap.d0
+        assert np.max(np.abs(dp - 1.0)) < 1e-9
+        assert cmap.evaluate(witness, gamma_inv, eps)[0].min() > 0
         out = feasibility_solve(constraints, options=problem.options)
         assert out.status == "feasible"
         assert out.margin >= 0
+
+    def test_tiny_theta_bound_reports_infeasible(self):
+        # theta = 0 leaves the unstable plant unstabilized, so the box
+        # around it holds no feasible controller
+        problem = unstable_plant_problem(np.linspace(0.05, 3.0, 16))
+        constraints = assemble_constraints(problem, math.inf)
+        assert feasibility_solve(constraints, options=problem.options).status \
+            == "feasible"
+        tiny = SynthesisOptions(eps=1e-6, integral_action=False, theta_bound=1e-3)
+        outcome = feasibility_solve(constraints, options=tiny)
+        assert outcome.status == "infeasible"
+        assert outcome.theta is None
+
+    def test_exhausted_cut_rounds_raise(self):
+        # at gamma = 3 the outer relaxation needs cut rounds to decide
+        problem = unstable_plant_problem(np.linspace(0.05, 3.0, 16))
+        constraints = assemble_constraints(problem, 3.0)
+        outcome = feasibility_solve(constraints, options=problem.options)
+        assert outcome.telemetry["lp_solves"] > 1
+        assert outcome.telemetry["cuts"] > 0
+        with pytest.raises(SolverFailureError, match="did not converge"):
+            feasibility_solve(constraints,
+                              options=replace(problem.options, max_cut_rounds=1))
 
     def test_contradictory_equalities_infeasible(self):
         problem = zero_plant_problem()
