@@ -9,8 +9,8 @@ against the plant.
 from .analysis import (Certificate, MultiplierParameters, absorb_multiplier,
                        check_performance, check_stability,
                        compute_achieved_gamma, grid_winding, oracle_stability)
-from .exceptions import (ConfigError, DataFormatError, EstimationError,
-                         LpvsynError, SimulationDivergedError,
+from .exceptions import (ConfigError, CutRoundsExhaustedError, DataFormatError,
+                         EstimationError, LpvsynError, SimulationDivergedError,
                          SolverFailureError, StabilizationError,
                          SynthesisInfeasibleError)
 from .factorization import (CHANNELS, BezoutWitness, ClosedLoopFactorData,

@@ -46,6 +46,15 @@ class SolverFailureError(LpvsynError):
     """Numerical failure in an optimization call, distinct from infeasibility."""
 
 
+class CutRoundsExhaustedError(SolverFailureError):
+    """The cutting-plane loop used every round without deciding feasibility;
+    ``lp_solves`` counts the LPs it solved."""
+
+    def __init__(self, message, lp_solves):
+        super().__init__(message)
+        self.lp_solves = lp_solves
+
+
 class SimulationDivergedError(LpvsynError):
     """Closed-loop simulation overflowed; ``sample_index`` locates the blow-up."""
 

@@ -13,6 +13,15 @@ approximation), or adaptively, starting from an outer relaxation and adding
 exact-phase cuts until the returned theta verifies against the true cone
 constraints or the relaxation certifies infeasibility.  An outer bisection
 over gamma yields the performance level.
+
+The LPs of one feasibility solve live in one HiGHS model (scipy's own
+binding): cuts are added as rows and each cut round hot-starts from the
+previous basis.  The bisection also carries the basis of the base rows to the
+next gamma when it still fits.  Warm starts may end on another vertex of a
+degenerate LP optimum, so once the bracket closes theta* is taken from one
+more solve at gamma* in which every LP starts from scratch; theta* then
+depends on gamma* alone, not on the search path.  Each LP goes through the
+module-level ``linprog`` so that a tracer can wrap it by name.
 """
 from __future__ import annotations
 
@@ -21,9 +30,12 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import OptimizeResult
+from scipy.optimize._highspy import _core as _hc
+from scipy.sparse import csr_array
 
-from .exceptions import SolverFailureError, SynthesisInfeasibleError
+from .exceptions import (CutRoundsExhaustedError, SolverFailureError,
+                         SynthesisInfeasibleError)
 from .factorization import CHANNELS, CoprimeFrfPair, assemble_closed_loop
 from .frfdata import FrequencyGrid, FrfResponse, SchedulingGrid
 from .obf import ObfBasis, SchedulingBasis, basis_rational, eval_basis, scheduling_eval
@@ -374,19 +386,70 @@ class FeasibilityOutcome:
 
 
 _BASE_ANGLES = np.array([0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi])
+# as scipy's linprog(method="highs"): dual simplex (strategy 1), no logging
+_HIGHS_OPTIONS = (("output_flag", False), ("simplex_strategy", 1))
+_SCIPY_STATUS = {_hc.HighsModelStatus.kOptimal: 0, _hc.HighsModelStatus.kInfeasible: 2}
+
+
+def linprog(model, *, A_ub: np.ndarray) -> OptimizeResult:
+    """Solve the live HiGHS model, from its current basis if it has one.
+
+    ``A_ub`` holds the model's inequality rows, which are its last rows.
+    Status 0 is optimal and 2 infeasible, as in scipy's ``linprog``; every
+    other HiGHS outcome is 4.  The name and the ``A_ub`` keyword are kept
+    so that ``perfbench/tracer.py`` can wrap each LP and count its rows.
+    """
+    run_ok = model.run() != _hc.HighsStatus.kError
+    model_status = model.getModelStatus()
+    status = _SCIPY_STATUS.get(model_status, 4) if run_ok else 4
+    res = OptimizeResult(status=status, message=model.modelStatusToString(model_status),
+                         x=None, fun=None, ineqlin=OptimizeResult(marginals=None))
+    if status == 0:
+        solution = model.getSolution()
+        res.x = np.array(solution.col_value)
+        res.fun = model.getInfo().objective_function_value
+        res.ineqlin.marginals = np.array(solution.row_dual)[-A_ub.shape[0]:]
+    return res
+
+
+def _add_rows(model, a: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> None:
+    a = csr_array(a)
+    if model.addRows(a.shape[0], lower, upper, a.nnz, a.indptr[:-1], a.indices,
+                     a.data) == _hc.HighsStatus.kError:
+        raise SolverFailureError("HiGHS rejected the LP rows")
+
+
+def _set_basis(model, basis) -> None:
+    """Start from a basis carried from another gamma if it fits this model.
+    A basis whose active cut rows were dropped has too many basic variables,
+    which HiGHS cannot start from, so only a fitting one is set; otherwise,
+    or if HiGHS refuses it, the model cold-starts."""
+    if basis is None or len(basis.col_status) != model.getNumCol():
+        return
+    basic = _hc.HighsBasisStatus.kBasic
+    n_basic = basis.col_status.count(basic) + basis.row_status.count(basic)
+    if n_basic == model.getNumRow() and model.setBasis(basis) != _hc.HighsStatus.kOk:
+        model.clearSolver()
 
 
 def feasibility_solve(constraints: tuple, equalities=None,
-                      options: SynthesisOptions | None = None) -> FeasibilityOutcome:
+                      options: SynthesisOptions | None = None,
+                      warm: dict | None = None) -> FeasibilityOutcome:
     """Find theta satisfying every cone constraint strictly, or certify
     infeasibility.
 
     ``constraints`` is (map, gamma_inv, eps) from ``assemble_constraints``.
-    Solves max-margin linear programs over tangent half-planes.  In adaptive
-    mode the LP is an outer relaxation refined with exact-phase cuts at
-    violated points, so "infeasible" is a certificate; a returned theta is
-    verified against the true cone constraints.  Numerical solver failures
-    raise, distinct from infeasibility.
+    Solves max-margin linear programs over tangent half-planes in one live
+    HiGHS model.  In adaptive mode the LP is an outer relaxation refined with
+    exact-phase cuts at violated points, so "infeasible" is a certificate; a
+    returned theta is verified against the true cone constraints.  Numerical
+    solver failures raise, distinct from infeasibility; a cut loop that
+    runs out of rounds raises ``CutRoundsExhaustedError``.
+
+    Without ``warm`` every LP is solved from scratch.  With it (a dict that
+    ``bisect_gamma`` keeps across gamma steps) cut rounds hot-start from the
+    previous basis, the first LP starts from ``warm["basis"]`` when it fits,
+    and the basis of the equality and base rows is stored back there.
     """
     options = options or SynthesisOptions()
     cmap, gamma_inv, eps = constraints
@@ -400,35 +463,45 @@ def feasibility_solve(constraints: tuple, equalities=None,
         angles = 2.0 * math.pi * np.arange(m_planes) / m_planes
         factor = 1.0 / math.cos(math.pi / m_planes)
     a_base, b_base = cmap.tangent_rows(*cmap.fan(angles), gamma_inv * factor, eps)
-    a_rows, b_rows = [a_base], [b_base]
 
-    a_eq = b_eq = None
+    # columns theta, then the margin t; maximize t.  Rows: equalities, the
+    # base planes a theta + t <= b, then the cuts of each round.
+    model = _hc._Highs()
+    for key, value in _HIGHS_OPTIONS:
+        model.setOptionValue(key, value)
+    bound = np.full(n_theta + 1, options.theta_bound)
+    bound[-1] = _hc.kHighsInf
+    model.addVars(n_theta + 1, -bound, bound)
+    model.changeColCost(n_theta, -1.0)
     if equalities is not None:
-        a_eq_theta, b_eq = equalities
-        a_eq = np.hstack([a_eq_theta, np.zeros((a_eq_theta.shape[0], 1))])
-
-    bounds = [(-options.theta_bound, options.theta_bound)] * n_theta + [(None, None)]
-    cost = np.zeros(n_theta + 1)
-    cost[-1] = -1.0
+        a_eq, b_eq = equalities
+        _add_rows(model, np.hstack([a_eq, np.zeros((b_eq.size, 1))]), b_eq, b_eq)
+    a_ub = np.hstack([a_base, np.ones((b_base.size, 1))])
+    _add_rows(model, a_ub, np.full(b_base.size, -_hc.kHighsInf), b_base)
+    n_base = model.getNumRow()
+    if warm is not None:
+        _set_basis(model, warm.get("basis"))
 
     lp_solves = 0
     cuts_added = 0
     for _ in range(options.max_cut_rounds):
-        a_ub = np.vstack(a_rows)
-        b_ub = np.concatenate(b_rows)
-        a_ub = np.hstack([a_ub, np.ones((a_ub.shape[0], 1))])
-        res = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                      bounds=bounds, method="highs")
+        if warm is None:
+            model.clearSolver()
+        res = linprog(model, A_ub=a_ub)
         lp_solves += 1
+        if warm is not None:
+            basis = model.getBasis()
+            basis.row_status = basis.row_status[:n_base]
+            warm["basis"] = basis if basis.valid else None
         if res.status == 2:
             return FeasibilityOutcome("infeasible", None, -math.inf,
                                       {"lp_solves": lp_solves, "cuts": cuts_added,
-                                       "rows": int(b_ub.size), "plane_factor": factor})
+                                       "rows": a_ub.shape[0], "plane_factor": factor})
         if res.status != 0:
             raise SolverFailureError(f"LP solver failure: {res.message}")
         t_star = -res.fun
         theta = res.x[:-1]
-        tel = {"lp_solves": lp_solves, "cuts": cuts_added, "rows": int(b_ub.size),
+        tel = {"lp_solves": lp_solves, "cuts": cuts_added, "rows": a_ub.shape[0],
                "plane_factor": factor, "lp_margin": t_star}
         if t_star < 0.0:
             return FeasibilityOutcome("infeasible", None, t_star, tel)
@@ -446,10 +519,11 @@ def feasibility_solve(constraints: tuple, equalities=None,
         phases = np.angle(cmap.apply(cmap.N, cmap.n0, bad, theta))
         a_new, b_new = cmap.tangent_rows(bad, np.cos(phases), np.sin(phases),
                                          gamma_inv, eps)
-        a_rows.append(a_new)
-        b_rows.append(b_new)
+        a_new = np.hstack([a_new, np.ones((bad.size, 1))])
+        _add_rows(model, a_new, np.full(bad.size, -_hc.kHighsInf), b_new)
+        a_ub = np.vstack([a_ub, a_new])
         cuts_added += bad.size
-    raise SolverFailureError("cutting-plane refinement did not converge")
+    raise CutRoundsExhaustedError("cutting-plane refinement did not converge", lp_solves)
 
 
 def _converged(lo: float, hi: float, options: SynthesisOptions) -> bool:
@@ -469,16 +543,17 @@ def bisect_gamma(problem: SynthesisProblem) -> SynthesisResult:
     t_start = time.perf_counter()
     lp_solves = 0
 
-    def solve_at(gamma: float) -> FeasibilityOutcome:
+    def solve_at(gamma: float, warm: dict | None) -> FeasibilityOutcome:
         nonlocal lp_solves
         gamma_inv = 0.0 if math.isinf(gamma) else 1.0 / gamma
-        out = feasibility_solve((cmap, gamma_inv, eps), equalities, options)
+        out = feasibility_solve((cmap, gamma_inv, eps), equalities, options, warm=warm)
         lp_solves += out.telemetry["lp_solves"]
         return out
 
+    warm = {}
     hi = options.gamma_hi
     lo = options.gamma_lo
-    out_hi = solve_at(hi)
+    out_hi = solve_at(hi, warm)
     if out_hi.status != "feasible":
         raise SynthesisInfeasibleError(
             f"infeasible at the gamma upper bound {hi}",
@@ -486,21 +561,33 @@ def bisect_gamma(problem: SynthesisProblem) -> SynthesisResult:
                          **out_hi.telemetry})
     best = (hi, out_hi.theta)
 
-    out_lo = solve_at(lo)
+    out_lo = solve_at(lo, warm)
     bisect_steps = 0
     if out_lo.status == "feasible":
         best = (lo, out_lo.theta)
     else:
         while not _converged(lo, hi, options):
             mid = 0.5 * (lo + hi)
-            out_mid = solve_at(mid)
+            out_mid = solve_at(mid, warm)
             bisect_steps += 1
             if out_mid.status == "feasible":
                 hi, best = mid, (mid, out_mid.theta)
             else:
                 lo = mid
 
+    # Warm starts land on other points of a degenerate LP optimum, so theta*
+    # comes from one more solve at gamma* without basis history: it then
+    # depends on gamma* alone.  If that solve does not decide, the verified
+    # theta of the warm solve stands.
     gamma_star, theta_star = best
+    theta_source = "warm"
+    try:
+        final = solve_at(gamma_star, None)
+    except CutRoundsExhaustedError as exc:
+        lp_solves += exc.lp_solves
+    else:
+        if final.status == "feasible":
+            theta_star, theta_source = final.theta, "history_free"
     params = layout.unpack(theta_star)
     all_margins, re_dp = cmap.evaluate(theta_star, 1.0 / gamma_star, eps)
     margins = cmap.by_block(all_margins)
@@ -518,6 +605,7 @@ def bisect_gamma(problem: SynthesisProblem) -> SynthesisResult:
         "plane_factor": out_hi.telemetry["plane_factor"],
         "wall_time_s": time.perf_counter() - t_start,
         "gamma_bracket": (lo, hi),
+        "theta_source": theta_source,
     }
     return SynthesisResult(theta=params, gamma=gamma_star, margins=margins,
                            re_dp_min=re_dp_min, telemetry=telemetry)

@@ -82,5 +82,5 @@ def test_tracer_counts_every_synthesis_lp(tracer):
         == result.telemetry["lp_solves"]
     assert result.telemetry["bisect_steps"] > 0
     assert metrics["synthesis.feasibility_solves"] \
-        == 2 + result.telemetry["bisect_steps"]
+        == 3 + result.telemetry["bisect_steps"]
     assert metrics["synthesis.lp_rows_max"] > 0

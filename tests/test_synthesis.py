@@ -11,7 +11,9 @@ from lpvsyn import (CHANNELS, ControllerParameters, FrequencyGrid, FrfResponse,
                     bisect_gamma, closed_loop_data, evaluate_factors,
                     factor_rationals, feasibility_solve, frozen_controller_tf,
                     frozen_coprime_from_model, laguerre_basis)
-from lpvsyn.exceptions import SolverFailureError, SynthesisInfeasibleError
+from lpvsyn import synthesis
+from lpvsyn.exceptions import (CutRoundsExhaustedError, SolverFailureError,
+                               SynthesisInfeasibleError)
 from lpvsyn.obf import scheduling_eval
 from lpvsyn.synthesis import ParameterLayout
 from conftest import make_problem, unstable_plant_problem
@@ -210,9 +212,53 @@ class TestFeasibility:
         outcome = feasibility_solve(constraints, options=problem.options)
         assert outcome.telemetry["lp_solves"] > 1
         assert outcome.telemetry["cuts"] > 0
-        with pytest.raises(SolverFailureError, match="did not converge"):
+        with pytest.raises(SolverFailureError, match="did not converge") as err:
             feasibility_solve(constraints,
                               options=replace(problem.options, max_cut_rounds=1))
+        assert isinstance(err.value, CutRoundsExhaustedError)
+        assert err.value.lp_solves == 1
+
+    def test_misfit_carried_basis_cold_starts(self):
+        # dropping the active cut rows of a solve leaves more basic variables
+        # than base rows; such a basis must give the same solve as none
+        problem = unstable_plant_problem(np.linspace(0.05, 3.0, 16))
+        warm = {}
+        feasibility_solve(assemble_constraints(problem, 3.0),
+                          options=problem.options, warm=warm)
+        basis = warm["basis"]
+        basic = synthesis._hc.HighsBasisStatus.kBasic
+        n_basic = basis.col_status.count(basic) + basis.row_status.count(basic)
+        assert n_basic > len(basis.row_status)
+        constraints = assemble_constraints(problem, 5.0)
+        carried = feasibility_solve(constraints, options=problem.options, warm=warm)
+        cold = feasibility_solve(constraints, options=problem.options, warm={})
+        assert carried.status == cold.status == "feasible"
+        assert np.array_equal(carried.theta, cold.theta)
+
+    def test_unfinished_lp_raises_not_infeasible(self, monkeypatch):
+        # a solve stopped by its iteration limit has decided nothing
+        model = synthesis._hc._Highs()
+        model.setOptionValue("output_flag", False)
+        model.setOptionValue("presolve", "off")
+        model.setOptionValue("simplex_iteration_limit", 0)
+        model.addVars(2, np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
+        model.changeColCost(0, -1.0)
+        a_ub = np.array([[1.0, 1.0]])
+        synthesis._add_rows(model, a_ub, np.array([-np.inf]), np.array([0.5]))
+        res = synthesis.linprog(model, A_ub=a_ub)
+        assert res.status not in (0, 2)
+
+        solve = synthesis.linprog
+
+        def limited(model, *, A_ub):
+            model.setOptionValue("simplex_iteration_limit", 0)
+            return solve(model, A_ub=A_ub)
+
+        monkeypatch.setattr(synthesis, "linprog", limited)
+        problem = zero_plant_problem()
+        with pytest.raises(SolverFailureError, match="LP solver failure"):
+            feasibility_solve(assemble_constraints(problem, 4.0),
+                              options=problem.options)
 
     def test_contradictory_equalities_infeasible(self):
         problem = zero_plant_problem()
@@ -261,6 +307,41 @@ class TestFeasibility:
 
 
 class TestBisection:
+    def test_theta_independent_of_search_path(self, small_problem, small_lpv_result):
+        # theta* is the history-free solve at gamma*, whatever the warm
+        # starts of the bisection went through
+        constraints = assemble_constraints(small_problem, small_lpv_result.gamma)
+        out = feasibility_solve(constraints, add_integral_action(small_problem),
+                                small_problem.options)
+        assert small_lpv_result.telemetry["theta_source"] == "history_free"
+        assert np.array_equal(small_problem.layout.pack(small_lpv_result.theta),
+                              out.theta)
+
+    def test_undecided_history_free_solve_keeps_warm_theta(self, monkeypatch):
+        problem = unstable_plant_problem(np.linspace(0.05, 3.0, 16), gamma_lo=1.0,
+                                         gamma_hi=100.0, gamma_rtol=0.05)
+        reference = bisect_gamma(problem)
+        solve = synthesis.feasibility_solve
+        warm_lps, feasible = [], []
+
+        def exhaust_history_free(constraints, equalities, options, warm):
+            if warm is None:
+                raise CutRoundsExhaustedError("did not converge", 7)
+            out = solve(constraints, equalities, options, warm=warm)
+            warm_lps.append(out.telemetry["lp_solves"])
+            if out.status == "feasible":
+                feasible.append(out.theta)
+            return out
+
+        monkeypatch.setattr(synthesis, "feasibility_solve", exhaust_history_free)
+        result = bisect_gamma(problem)
+        assert result.gamma == reference.gamma
+        assert reference.telemetry["theta_source"] == "history_free"
+        assert result.telemetry["theta_source"] == "warm"
+        assert np.array_equal(problem.layout.pack(result.theta), feasible[-1])
+        assert result.telemetry["lp_solves"] == sum(warm_lps) + 7
+        assert result.margin_min() >= -1e-9
+
     def test_iteration_count_bound(self):
         problem = zero_plant_problem(gamma_lo=1.0, gamma_hi=4.0, gamma_atol=0.5)
         result = bisect_gamma(problem)
@@ -281,6 +362,21 @@ class TestBisection:
 
     def test_lpv_no_worse_than_lti(self, small_lpv_result, small_lti_result):
         assert small_lpv_result.gamma <= small_lti_result.gamma
+
+
+class TestHighsBinding:
+    def test_private_highs_class_has_every_method_used(self):
+        # synthesis drives scipy's private HiGHS binding directly; this pins
+        # the methods it calls, so a scipy upgrade that moves them fails here
+        from scipy.optimize._highspy import _core
+        for method in ("setOptionValue", "addVars", "addRows", "changeColCost",
+                       "run", "getModelStatus", "modelStatusToString",
+                       "getSolution", "getInfo", "getBasis", "setBasis",
+                       "clearSolver", "getNumCol", "getNumRow"):
+            assert callable(getattr(_core._Highs, method, None)), method
+        for name in ("HighsStatus", "HighsModelStatus", "HighsBasisStatus",
+                     "kHighsInf"):
+            assert hasattr(_core, name), name
 
 
 class TestIntegralAction:
