@@ -69,13 +69,17 @@ def handle_errors(fn):
 # config plumbing
 # ---------------------------------------------------------------------------
 
-def _deep_update(base: dict, override: dict) -> dict:
+def _deep_update(base: dict, override: dict, prefix: str = "") -> dict:
+    """``override`` merged into ``base``; a section that is an object in
+    ``base`` must stay one."""
     out = dict(base)
     for key, val in override.items():
-        if isinstance(val, dict) and isinstance(out.get(key), dict):
-            out[key] = _deep_update(out[key], val)
-        else:
+        if not isinstance(out.get(key), dict):
             out[key] = val
+        elif isinstance(val, dict):
+            out[key] = _deep_update(out[key], val, f"{prefix}{key}.")
+        else:
+            raise ConfigError(f"config section {prefix}{key} must be a JSON object")
     return out
 
 
@@ -158,7 +162,6 @@ def _options_from_config(cfg: dict) -> SynthesisOptions:
         gamma_lo=float(o.get("gamma_lo", 0.01)),
         gamma_hi=float(o.get("gamma_hi", 1000.0)),
         gamma_rtol=float(o.get("gamma_rtol", 1e-3)),
-        gamma_atol=o.get("gamma_atol"),
         integral_action=bool(o.get("integral_action", True)),
         planes=o.get("planes", "adaptive"),
         theta_bound=float(o.get("theta_bound", 1e4)),
@@ -342,6 +345,14 @@ def _problem_from_dataset(cfg: dict, dataset: FrfDataset) -> SynthesisProblem:
                             _options_from_config(cfg))
 
 
+def _closed_loop(cfg: dict, dataset: FrfDataset, params: ControllerParameters):
+    """Grid, weights on it and per-point closed-loop data of a controller on
+    the dataset's synthesis problem."""
+    problem = _problem_from_dataset(cfg, dataset)
+    grid = problem.grid
+    return grid, problem.weights.on_grid(grid), closed_loop_data(problem, params)
+
+
 def result_to_dict(result: SynthesisResult, sample_rate: float) -> dict:
     margins = {f"p={p:g}/{c}": [round(float(v), 12) for v in arr]
                for (p, c), arr in sorted(result.margins.items())}
@@ -387,10 +398,7 @@ def analyze(ctx, controller_file, gamma):
     out = _out_dir(cfg)
     dataset = load_dataset(out / "dataset.csv", sample_rate=_data_sample_rate(cfg))
     params, _ = load_controller(controller_file)
-    problem = _problem_from_dataset(cfg, dataset)
-    grid = problem.grid
-    weights = problem.weights.on_grid(grid)
-    data = closed_loop_data(problem, params)
+    grid, weights, data = _closed_loop(cfg, dataset, params)
     stab = check_stability({p: block.d_p for p, block in data.items()}, grid)
     perf = check_performance(data, weights, gamma, grid)
     achieved = compute_achieved_gamma(data, weights)
@@ -472,10 +480,7 @@ def report(ctx):
     payload = json.loads(result_path.read_text())
     params, _ = controller_from_dict(payload["controller"])
     gamma = float(payload["gamma"])
-    problem = _problem_from_dataset(cfg, dataset)
-    grid = problem.grid
-    weights = problem.weights.on_grid(grid)
-    data = closed_loop_data(problem, params)
+    grid, weights, data = _closed_loop(cfg, dataset, params)
     ctrl = build_lfr(params, fs)
 
     lines = ["p,omega,hz,mag,phase_deg"]

@@ -13,7 +13,7 @@ import numpy as np
 
 from .exceptions import StabilizationError
 from .frfdata import FrequencyGrid, FrfResponse
-from .rational import RationalTf, closed_loop_char_poly
+from .rational import RationalTf, internally_stable
 
 BEZOUT_TOL = 1e-6
 
@@ -65,10 +65,9 @@ class ClosedLoopFactorData:
     n_t: np.ndarray
 
     def __post_init__(self):
-        n = self.d_p.shape[0]
         for name in ("n_s", "n_gs", "n_ks", "n_t"):
-            if getattr(self, name).shape != (n,):
-                raise ValueError("channel numerator length mismatch")
+            if getattr(self, name).shape != self.d_p.shape:
+                raise ValueError("channel numerator shape mismatch")
 
     def numerator(self, channel: str) -> np.ndarray:
         return {"S": self.n_s, "GS": self.n_gs, "KS": self.n_ks, "T": self.n_t}[channel]
@@ -106,29 +105,17 @@ def frozen_coprime_from_model(g: RationalTf, controller0: RationalTf,
                               grid: FrequencyGrid):
     """Analytic counterpart of :func:`coprime_from_closed_loop`.
 
-    Builds S = 1/(1 + g K0) and G S by rational algebra, evaluates them on the
-    grid, and returns the same factor pair and witness.
+    Checks that K0 stabilizes g (``internally_stable``), then evaluates
+    S = 1/(1 + g K0) and G S on the grid and hands them to
+    :func:`coprime_from_closed_loop` for the factor pair and witness.
     """
-    if not controller0.is_stable():
-        raise StabilizationError(
-            "this construction requires a stable K0; factor K0 first otherwise")
-    phi = closed_loop_char_poly(g, controller0)
-    if np.max(np.abs(phi)) == 0.0:
-        raise ValueError("degenerate loop: 1 + G K0 vanishes identically")
-    roots = np.roots(phi)
-    if roots.size and np.max(np.abs(roots)) >= 1.0:
+    # an unstable K0 is rejected by coprime_from_closed_loop
+    if controller0.is_stable() and not internally_stable(g, controller0):
         raise StabilizationError("controller0 does not stabilize the plant")
     g_vals = g.on_grid(grid)
-    k_vals = controller0.on_grid(grid)
-    s_vals = 1.0 / (1.0 + g_vals * k_vals)
-    pair = CoprimeFrfPair(n_g=FrfResponse(g_vals * s_vals, grid),
-                          d_g=FrfResponse(s_vals, grid))
-    witness = BezoutWitness(x=controller0,
-                            y=RationalTf.constant(1.0, controller0.sample_rate))
-    res = witness.residual(pair)
-    if res > BEZOUT_TOL:
-        raise StabilizationError(f"Bezout residual {res:.3e} exceeds {BEZOUT_TOL:g}")
-    return pair, witness
+    s_vals = 1.0 / (1.0 + g_vals * controller0.on_grid(grid))
+    return coprime_from_closed_loop(FrfResponse(s_vals, grid),
+                                    FrfResponse(g_vals * s_vals, grid), controller0)
 
 
 def origin_factorization(g: RationalTf):
@@ -159,14 +146,17 @@ def assemble_closed_loop(pair: CoprimeFrfPair, nk: np.ndarray,
     """Characteristic data and channel numerators for controller factor data.
 
     d_p = d_g dk + n_g nk; numerators (D_G D_K, N_G D_K, D_G N_K, N_G N_K) for
-    the channels S, GS, KS, T.  Linear in (nk, dk).
+    the channels S, GS, KS, T.  Linear in (nk, dk), whose first axis is the
+    grid; further axes (say the parameter columns of an affine map) are
+    carried through.
     """
     nk = np.asarray(nk, dtype=complex)
     dk = np.asarray(dk, dtype=complex)
-    n_g = pair.n_g.values
-    d_g = pair.d_g.values
-    if nk.shape != n_g.shape or dk.shape != n_g.shape:
+    if nk.shape[:1] != pair.n_g.values.shape or dk.shape != nk.shape:
         raise ValueError("controller factor data length does not match the grid")
+    extra = (1,) * (nk.ndim - 1)
+    n_g = pair.n_g.values.reshape(-1, *extra)
+    d_g = pair.d_g.values.reshape(-1, *extra)
     return ClosedLoopFactorData(
         d_p=d_g * dk + n_g * nk,
         n_s=d_g * dk,

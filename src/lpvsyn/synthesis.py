@@ -26,6 +26,7 @@ module-level ``linprog`` so that a tracer can wrap it by name.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -38,7 +39,8 @@ from .exceptions import (CutRoundsExhaustedError, SolverFailureError,
                          SynthesisInfeasibleError)
 from .factorization import CHANNELS, CoprimeFrfPair, assemble_closed_loop
 from .frfdata import FrequencyGrid, FrfResponse, SchedulingGrid
-from .obf import ObfBasis, SchedulingBasis, basis_rational, eval_basis, scheduling_eval
+from .obf import (ObfBasis, SchedulingBasis, basis_rational, eval_basis, eval_basis_at,
+                  scheduling_eval)
 from .rational import RationalTf
 
 
@@ -134,6 +136,18 @@ class ParameterLayout:
     def pack(self, params: ControllerParameters) -> np.ndarray:
         return np.concatenate([params.wbar.ravel(), params.vbar[1:].ravel()])
 
+    def factor_maps(self, phi_n: np.ndarray, phi_d: np.ndarray, psi: np.ndarray):
+        """Controller factors as maps of theta: N_K = nk theta and
+        D_K = dk theta + phi_d[0], at the points where the numerator and
+        denominator bases take the values ``phi_n`` and ``phi_d`` (basis
+        index first) and the scheduling functions the values ``psi``."""
+        n_pts = phi_n.shape[1]
+        nk = np.zeros((n_pts, self.size), dtype=complex)
+        dk = np.zeros((n_pts, self.size), dtype=complex)
+        nk[:, :self.n_w] = np.einsum("iw,l->wil", phi_n, psi).reshape(n_pts, -1)
+        dk[:, self.n_w:] = np.einsum("iw,l->wil", phi_d[1:], psi).reshape(n_pts, -1)
+        return nk, dk
+
     def unpack(self, theta: np.ndarray) -> ControllerParameters:
         theta = np.asarray(theta, dtype=float)
         wbar = theta[:self.n_w].reshape(self.basis_n.size, self.m)
@@ -187,11 +201,17 @@ class SynthesisOptions:
     gamma_lo: float = 1e-3
     gamma_hi: float = 1e3
     gamma_rtol: float = 1e-3
-    gamma_atol: float | None = None
     integral_action: bool = False
-    planes: object = "adaptive"   # "adaptive" or an int M for a fixed fan
+    planes: object = "adaptive"   # "adaptive" or an int M >= 3 for a fixed fan
     theta_bound: float = 1e4
     max_cut_rounds: int = 50
+
+    def __post_init__(self):
+        # a fan of M planes is scaled by 1/cos(pi/M), positive only for M >= 3
+        fan = isinstance(self.planes, numbers.Integral) and not isinstance(self.planes, bool)
+        if self.planes != "adaptive" and not (fan and self.planes >= 3):
+            raise ValueError(
+                f"planes must be 'adaptive' or an integer >= 3, not {self.planes!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,6 +242,16 @@ class SynthesisProblem:
     @property
     def layout(self) -> ParameterLayout:
         return ParameterLayout(self.basis_n, self.basis_d, self.sched_basis)
+
+    @property
+    def eps(self) -> float:
+        """Strictness margin: ``options.eps``, by default 1e-6 times the
+        median |D_G| over every operating point and frequency."""
+        if self.options.eps is not None:
+            return self.options.eps
+        mags = np.concatenate([np.abs(self.pairs[float(p)].d_g.values)
+                               for p in self.scheduling_grid.points])
+        return 1e-6 * float(np.median(mags))
 
 
 @dataclass(frozen=True, eq=False)
@@ -294,42 +324,32 @@ class ConstraintMap:
 
 def constraint_map(problem: SynthesisProblem) -> ConstraintMap:
     """Gamma-independent constraint map of every (operating point, channel,
-    frequency) row."""
+    frequency) row: the closed-loop data of the factor maps (D_p and each
+    numerator linear in theta) and of their offset (0, phi_d[0])."""
     layout = problem.layout
     w_grid = problem.weights.on_grid(problem.grid)
     n_freq = len(problem.grid)
     phi_n = eval_basis(problem.basis_n, problem.grid)
     phi_d = eval_basis(problem.basis_d, problem.grid)
-    zeros = np.zeros(n_freq, dtype=complex)
     parts = []
     for p in problem.scheduling_grid.points:
         p = float(p)
         pair = problem.pairs[p]
         psi = scheduling_eval(problem.sched_basis, p)
-        # N_K = nk theta and D_K = dk theta + phi_d[0], affine in theta
-        nk = np.zeros((n_freq, layout.size), dtype=complex)
-        dk = np.zeros((n_freq, layout.size), dtype=complex)
-        nk[:, :layout.n_w] = np.einsum("iw,l->wil", phi_n, psi).reshape(n_freq, -1)
-        dk[:, layout.n_w:] = np.einsum("iw,l->wil", phi_d[1:], psi).reshape(n_freq, -1)
-        n_g, d_g = pair.n_g.values, pair.d_g.values
-        d_p = n_g[:, None] * nk + d_g[:, None] * dk
-        # numerators D_G D_K, N_G D_K, D_G N_K, N_G N_K of S, GS, KS, T
-        numerators = ((d_g, dk, phi_d[0]), (n_g, dk, phi_d[0]),
-                      (d_g, nk, zeros), (n_g, nk, zeros))
-        for channel, (g, k, k0) in zip(CHANNELS, numerators):
+        lin = assemble_closed_loop(pair, *layout.factor_maps(phi_n, phi_d, psi))
+        off = assemble_closed_loop(pair, np.zeros(n_freq, dtype=complex), phi_d[0])
+        for channel in CHANNELS:
             w = w_grid[channel]
-            parts.append((d_p, d_g * phi_d[0], w[:, None] * (g[:, None] * k),
-                          w * (g * k0), p, channel))
+            parts.append((lin.d_p, off.d_p, w[:, None] * lin.numerator(channel),
+                          w * off.numerator(channel), p, channel))
     D, d0, N, n0, ps, channels = zip(*parts)
     return ConstraintMap(np.vstack(D), np.concatenate(d0), np.vstack(N),
                          np.concatenate(n0), np.repeat(ps, n_freq),
                          np.repeat(channels, n_freq), n_freq)
 
 
-def default_eps(problem: SynthesisProblem) -> float:
-    mags = np.concatenate([np.abs(problem.pairs[float(p)].d_g.values)
-                           for p in problem.scheduling_grid.points])
-    return 1e-6 * float(np.median(mags))
+def _gamma_inv(gamma: float) -> float:
+    return 0.0 if math.isinf(gamma) else 1.0 / gamma
 
 
 def assemble_constraints(problem: SynthesisProblem, gamma: float) -> tuple:
@@ -341,36 +361,26 @@ def assemble_constraints(problem: SynthesisProblem, gamma: float) -> tuple:
     """
     if not gamma > 0:
         raise ValueError("gamma must be positive")
-    eps = problem.options.eps if problem.options.eps is not None else default_eps(problem)
-    gamma_inv = 0.0 if math.isinf(gamma) else 1.0 / gamma
-    return constraint_map(problem), gamma_inv, eps
+    return constraint_map(problem), _gamma_inv(gamma), problem.eps
 
 
 def add_integral_action(problem: SynthesisProblem):
     """Equality constraints D_K(z=1, p_tau) = 0 for every grid operating point.
 
-    Because the normalization pins v_0(p) = 1, the constraints read
-    sum_{i>=1} v_i(p_tau) phi_i(1) = -phi_0(1); with n_D = 0 they are
-    unsatisfiable and feasibility reports infeasible.
+    The factor map at z = 1 gives D_K(1, p) = dk theta + phi_0(1); with
+    n_D = 0 the constraints are unsatisfiable and feasibility reports
+    infeasible.
     """
     layout = problem.layout
-    phi1 = eval_basis_at_one(problem.basis_d)
+    one = np.array([1.0 + 0j])
+    phi_n = eval_basis_at(problem.basis_n, one)
+    phi_d = eval_basis_at(problem.basis_d, one)
     rows = []
-    rhs = []
     for p in problem.scheduling_grid.points:
         psi = scheduling_eval(problem.sched_basis, float(p))
-        row = np.zeros(layout.size)
-        for i in range(1, problem.basis_d.size):
-            for l in range(layout.m):
-                row[layout.v_index(i, l)] = float(phi1[i].real) * psi[l]
-        rows.append(row)
-        rhs.append(-float(phi1[0].real))
-    return np.array(rows), np.array(rhs)
-
-
-def eval_basis_at_one(basis: ObfBasis) -> np.ndarray:
-    from .obf import eval_basis_at
-    return eval_basis_at(basis, np.array([1.0 + 0j]))[:, 0]
+        _, dk = layout.factor_maps(phi_n, phi_d, psi)
+        rows.append(dk[0].real)
+    return np.array(rows), np.full(len(rows), -phi_d[0, 0].real)
 
 
 # ---------------------------------------------------------------------------
@@ -526,16 +536,10 @@ def feasibility_solve(constraints: tuple, equalities=None,
     raise CutRoundsExhaustedError("cutting-plane refinement did not converge", lp_solves)
 
 
-def _converged(lo: float, hi: float, options: SynthesisOptions) -> bool:
-    if options.gamma_atol is not None:
-        return (hi - lo) <= options.gamma_atol
-    return (hi - lo) <= options.gamma_rtol * hi
-
-
 def bisect_gamma(problem: SynthesisProblem) -> SynthesisResult:
     """Minimize gamma by bisection over cone-feasibility subproblems."""
     options = problem.options
-    eps = options.eps if options.eps is not None else default_eps(problem)
+    eps = problem.eps
     cmap = constraint_map(problem)
     equalities = add_integral_action(problem) if options.integral_action else None
     layout = problem.layout
@@ -545,8 +549,8 @@ def bisect_gamma(problem: SynthesisProblem) -> SynthesisResult:
 
     def solve_at(gamma: float, warm: dict | None) -> FeasibilityOutcome:
         nonlocal lp_solves
-        gamma_inv = 0.0 if math.isinf(gamma) else 1.0 / gamma
-        out = feasibility_solve((cmap, gamma_inv, eps), equalities, options, warm=warm)
+        out = feasibility_solve((cmap, _gamma_inv(gamma), eps), equalities, options,
+                                warm=warm)
         lp_solves += out.telemetry["lp_solves"]
         return out
 
@@ -566,7 +570,7 @@ def bisect_gamma(problem: SynthesisProblem) -> SynthesisResult:
     if out_lo.status == "feasible":
         best = (lo, out_lo.theta)
     else:
-        while not _converged(lo, hi, options):
+        while hi - lo > options.gamma_rtol * hi:
             mid = 0.5 * (lo + hi)
             out_mid = solve_at(mid, warm)
             bisect_steps += 1

@@ -206,3 +206,25 @@ class TestErrors:
         bad = write_config(tmp_path, cfg, name="eps.json")
         res = run("--config", bad, "synthesize")
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("command, override", [
+        ("synthesize", {"synthesis": {"options": None}}),
+        ("generate", {"experiment": None}),
+        ("generate", {"experiment": {"grid": [48]}}),
+        ("report", {"plant": "surrogate"}),
+    ])
+    def test_non_object_section_rejected(self, tmp_path, command, override):
+        cfg = {"out_dir": str(tmp_path / "out"), **override}
+        res = run("--config", write_config(tmp_path, cfg), command)
+        assert res.exit_code == 2
+        assert "must be a JSON object" in res.output
+
+    @pytest.mark.parametrize("planes", [0, 1, 2, -4])
+    def test_invalid_plane_count_rejected(self, pipeline, tmp_path, planes):
+        _, out = pipeline
+        cfg = tiny_config(out)
+        cfg["synthesis"]["options"]["planes"] = planes
+        res = run("--config", write_config(tmp_path, cfg, name="planes.json"),
+                  "synthesize")
+        assert res.exit_code == 2
+        assert "integer >= 3" in res.output

@@ -36,6 +36,17 @@ def zero_plant_problem(n_freq=24, **options):
                             SchedulingBasis.constant((-1.0, 1.0)), opts)
 
 
+class TestSynthesisOptions:
+    @pytest.mark.parametrize("planes", [0, 1, 2, -4, 64.0, True, "fixed"])
+    def test_invalid_plane_count_rejected(self, planes):
+        with pytest.raises(ValueError, match="integer >= 3"):
+            SynthesisOptions(planes=planes)
+
+    @pytest.mark.parametrize("planes", ["adaptive", 3, 64, np.int64(8)])
+    def test_valid_plane_setting_accepted(self, planes):
+        assert SynthesisOptions(planes=planes).planes == planes
+
+
 class TestControllerParameters:
     def test_normalization_enforced(self):
         basis = laguerre_basis(0.5, 2)
@@ -175,6 +186,25 @@ class TestAssembleConstraints:
             assert np.max(np.abs(fd_d - cmap.D[:, i])) < 1e-9
             fd_n = (cmap.N @ (theta + e)) - (cmap.N @ theta)
             assert np.max(np.abs(fd_n - cmap.N[:, i])) < 1e-9
+
+    def test_rows_agree_with_certified_closed_loop_data(self, small_problem):
+        # the LP rows and the certificates read the same closed-loop data
+        cmap, _, _ = assemble_constraints(small_problem, 2.0)
+        layout = small_problem.layout
+        theta = np.random.default_rng(6).standard_normal(layout.size)
+        params = layout.unpack(theta)
+        data = closed_loop_data(small_problem, params)
+        weights = small_problem.weights.on_grid(small_problem.grid)
+        d_p = cmap.by_block(cmap.D @ theta + cmap.d0)
+        for (p, channel), numerator in cmap.by_block(cmap.N @ theta + cmap.n0).items():
+            pairs = ((d_p[p, channel], data[p].d_p),
+                     (numerator, weights[channel] * data[p].numerator(channel)))
+            for got, ref in pairs:
+                assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        a_eq, b_eq = add_integral_action(small_problem)
+        for row, p in zip(a_eq @ theta - b_eq, small_problem.scheduling_grid.points):
+            _, dk = factor_rationals(params, float(p))
+            assert row == pytest.approx(dk.eval_at(np.array([1.0]))[0].real, rel=1e-12)
 
 
 class TestFeasibility:
@@ -343,7 +373,7 @@ class TestBisection:
         assert result.margin_min() >= -1e-9
 
     def test_iteration_count_bound(self):
-        problem = zero_plant_problem(gamma_lo=1.0, gamma_hi=4.0, gamma_atol=0.5)
+        problem = zero_plant_problem(gamma_lo=1.0, gamma_hi=4.0, gamma_rtol=1 / 3)
         result = bisect_gamma(problem)
         assert result.telemetry["bisect_steps"] <= 3
         assert 1.0 < result.gamma <= 1.5
