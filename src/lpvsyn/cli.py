@@ -69,12 +69,45 @@ def handle_errors(fn):
 # config plumbing
 # ---------------------------------------------------------------------------
 
+# leaves that may also take the type of a second value: a fixed plane count,
+# and what the leaves whose default is null hold when set
+_ALTERNATIVE_TYPES = {"plant.constants_path": "", "synthesis.weights": {},
+                      "synthesis.options.eps": 0.0, "synthesis.options.planes": 0}
+_JSON_TYPES = {bool: "boolean", int: "integer", float: "number", str: "string",
+               list: "list", dict: "object", type(None): "null"}
+
+
+def _same_type(default, val) -> bool:
+    """Whether ``val`` has the JSON type of ``default``: null, boolean,
+    integer, number (which an integer also is), string, object, or a list
+    whose items have the type of the default's items."""
+    if isinstance(default, bool) or isinstance(val, bool):
+        return type(val) is type(default)
+    if isinstance(default, float):
+        return isinstance(val, (int, float))
+    if isinstance(default, list):
+        return isinstance(val, list) and all(_same_type(d, v) for d in default[:1]
+                                             for v in val)
+    return isinstance(val, type(default))
+
+
+def _check_leaf(name: str, default, val) -> None:
+    allowed = [default]
+    if name in _ALTERNATIVE_TYPES:
+        allowed.append(_ALTERNATIVE_TYPES[name])
+    if not any(_same_type(a, val) for a in allowed):
+        kinds = " or ".join(_JSON_TYPES[type(a)] for a in allowed)
+        raise ConfigError(f"config value {name} must be {kinds}, not {json.dumps(val)}")
+
+
 def _deep_update(base: dict, override: dict, prefix: str = "") -> dict:
     """``override`` merged into ``base``; a section that is an object in
-    ``base`` must stay one."""
+    ``base`` must stay one, and a leaf of ``base`` keeps its type."""
     out = dict(base)
     for key, val in override.items():
         if not isinstance(out.get(key), dict):
+            if key in out:
+                _check_leaf(f"{prefix}{key}", out[key], val)
             out[key] = val
         elif isinstance(val, dict):
             out[key] = _deep_update(out[key], val, f"{prefix}{key}.")

@@ -16,10 +16,14 @@ over gamma yields the performance level.
 
 The LPs of one feasibility solve live in one HiGHS model (scipy's own
 binding): cuts are added as rows and each cut round hot-starts from the
-previous basis.  The bisection also carries the basis of the base rows to the
-next gamma when it still fits.  Warm starts may end on another vertex of a
-degenerate LP optimum, so once the bracket closes theta* is taken from one
-more solve at gamma* in which every LP starts from scratch; theta* then
+previous basis.  Inside the bisection an adaptive solve does not load the
+full fan of base planes: it starts from a small working set (a few evenly
+spaced frequencies of every fan block) plus the planes that were active in
+the previous gamma's last optimal LP, rebuilt at the new gamma; any subset of
+tangent planes is still an outer relaxation, so the cuts keep every answer
+sound.  Another row set may end on another vertex of a degenerate LP
+optimum, so once the bracket closes theta* is taken from one more solve at
+gamma* over the full fan in which every LP starts from scratch; theta* then
 depends on gamma* alone, not on the search path.  Each LP goes through the
 module-level ``linprog`` so that a tracer can wrap it by name.
 """
@@ -124,14 +128,6 @@ class ParameterLayout:
         self.n_w = basis_n.size * sched.m
         self.n_v = basis_d.n * sched.m
         self.size = self.n_w + self.n_v
-
-    def w_index(self, i: int, l: int) -> int:
-        return i * self.m + l
-
-    def v_index(self, i: int, l: int) -> int:
-        if i < 1:
-            raise ValueError("vbar row 0 is fixed by normalization")
-        return self.n_w + (i - 1) * self.m + l
 
     def pack(self, params: ControllerParameters) -> np.ndarray:
         return np.concatenate([params.wbar.ravel(), params.vbar[1:].ravel()])
@@ -396,6 +392,9 @@ class FeasibilityOutcome:
 
 
 _BASE_ANGLES = np.array([0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi])
+# frequency rows taken from each (p, channel, angle) block of the base fan to
+# start a working-set solve; cuts add whatever else the solve needs
+WORKING_ROWS = 8
 # as scipy's linprog(method="highs"): dual simplex (strategy 1), no logging
 _HIGHS_OPTIONS = (("output_flag", False), ("simplex_strategy", 1))
 _SCIPY_STATUS = {_hc.HighsModelStatus.kOptimal: 0, _hc.HighsModelStatus.kInfeasible: 2}
@@ -429,17 +428,19 @@ def _add_rows(model, a: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> Non
         raise SolverFailureError("HiGHS rejected the LP rows")
 
 
-def _set_basis(model, basis) -> None:
-    """Start from a basis carried from another gamma if it fits this model.
-    A basis whose active cut rows were dropped has too many basic variables,
-    which HiGHS cannot start from, so only a fitting one is set; otherwise,
-    or if HiGHS refuses it, the model cold-starts."""
-    if basis is None or len(basis.col_status) != model.getNumCol():
-        return
-    basic = _hc.HighsBasisStatus.kBasic
-    n_basic = basis.col_status.count(basic) + basis.row_status.count(basic)
-    if n_basic == model.getNumRow() and model.setBasis(basis) != _hc.HighsStatus.kOk:
-        model.clearSolver()
+def _working_set(cmap: ConstraintMap, carried) -> tuple:
+    """(rows, cos, sin) labels that start a working-set solve: ``WORKING_ROWS``
+    evenly spaced frequency rows of every base fan block, then the
+    ``carried`` labels not already among them."""
+    rows, cos, sin = cmap.fan(_BASE_ANGLES)
+    pick = np.unique(np.linspace(0, cmap.n_freq - 1, WORKING_ROWS).round().astype(int))
+    keep = (np.arange(0, rows.size, cmap.n_freq)[:, None] + pick).ravel()
+    labels = np.column_stack([rows[keep], cos[keep], sin[keep]])
+    if carried is not None:
+        labels = np.vstack([labels, np.column_stack(carried)])
+        _, first = np.unique(labels, axis=0, return_index=True)
+        labels = labels[np.sort(first)]
+    return labels[:, 0].astype(int), labels[:, 1], labels[:, 2]
 
 
 def feasibility_solve(constraints: tuple, equalities=None,
@@ -456,23 +457,28 @@ def feasibility_solve(constraints: tuple, equalities=None,
     solver failures raise, distinct from infeasibility; a cut loop that
     runs out of rounds raises ``CutRoundsExhaustedError``.
 
-    Without ``warm`` every LP is solved from scratch.  With it (a dict that
-    ``bisect_gamma`` keeps across gamma steps) cut rounds hot-start from the
-    previous basis, the first LP starts from ``warm["basis"]`` when it fits,
-    and the basis of the equality and base rows is stored back there.
+    Without ``warm`` every LP is solved from scratch over the full fan of
+    base planes.  With it (a dict that ``bisect_gamma`` keeps across gamma
+    steps) an adaptive solve starts from the working set of
+    ``_working_set`` and ``warm["labels"]``, cut rounds hot-start from the
+    previous basis, and the (row, cos, sin) labels of the planes with a
+    nonzero dual in each optimal LP are stored back in ``warm["labels"]``.
+    A fixed fan is an inner approximation, of which a subset proves nothing,
+    so it always loads every plane.
     """
     options = options or SynthesisOptions()
     cmap, gamma_inv, eps = constraints
     n_theta = cmap.D.shape[1]
     adaptive = options.planes == "adaptive"
-    if adaptive:
-        angles = _BASE_ANGLES
-        factor = 1.0
-    else:
+    if not adaptive:
         m_planes = int(options.planes)
-        angles = 2.0 * math.pi * np.arange(m_planes) / m_planes
+        labels = cmap.fan(2.0 * math.pi * np.arange(m_planes) / m_planes)
         factor = 1.0 / math.cos(math.pi / m_planes)
-    a_base, b_base = cmap.tangent_rows(*cmap.fan(angles), gamma_inv * factor, eps)
+    else:
+        factor = 1.0
+        labels = (cmap.fan(_BASE_ANGLES) if warm is None
+                  else _working_set(cmap, warm.get("labels")))
+    a_base, b_base = cmap.tangent_rows(*labels, gamma_inv * factor, eps)
 
     # columns theta, then the margin t; maximize t.  Rows: equalities, the
     # base planes a theta + t <= b, then the cuts of each round.
@@ -488,9 +494,6 @@ def feasibility_solve(constraints: tuple, equalities=None,
         _add_rows(model, np.hstack([a_eq, np.zeros((b_eq.size, 1))]), b_eq, b_eq)
     a_ub = np.hstack([a_base, np.ones((b_base.size, 1))])
     _add_rows(model, a_ub, np.full(b_base.size, -_hc.kHighsInf), b_base)
-    n_base = model.getNumRow()
-    if warm is not None:
-        _set_basis(model, warm.get("basis"))
 
     lp_solves = 0
     cuts_added = 0
@@ -499,16 +502,15 @@ def feasibility_solve(constraints: tuple, equalities=None,
             model.clearSolver()
         res = linprog(model, A_ub=a_ub)
         lp_solves += 1
-        if warm is not None:
-            basis = model.getBasis()
-            basis.row_status = basis.row_status[:n_base]
-            warm["basis"] = basis if basis.valid else None
         if res.status == 2:
             return FeasibilityOutcome("infeasible", None, -math.inf,
                                       {"lp_solves": lp_solves, "cuts": cuts_added,
                                        "rows": a_ub.shape[0], "plane_factor": factor})
         if res.status != 0:
             raise SolverFailureError(f"LP solver failure: {res.message}")
+        if warm is not None:
+            active = res.ineqlin.marginals != 0.0
+            warm["labels"] = tuple(label[active] for label in labels)
         t_star = -res.fun
         theta = res.x[:-1]
         tel = {"lp_solves": lp_solves, "cuts": cuts_added, "rows": a_ub.shape[0],
@@ -527,11 +529,12 @@ def feasibility_solve(constraints: tuple, equalities=None,
             return FeasibilityOutcome("feasible", theta, true_min, tel)
         # exact-phase cuts: planes touching each violated disc at its phase
         phases = np.angle(cmap.apply(cmap.N, cmap.n0, bad, theta))
-        a_new, b_new = cmap.tangent_rows(bad, np.cos(phases), np.sin(phases),
-                                         gamma_inv, eps)
+        cut = (bad, np.cos(phases), np.sin(phases))
+        a_new, b_new = cmap.tangent_rows(*cut, gamma_inv, eps)
         a_new = np.hstack([a_new, np.ones((bad.size, 1))])
         _add_rows(model, a_new, np.full(bad.size, -_hc.kHighsInf), b_new)
         a_ub = np.vstack([a_ub, a_new])
+        labels = tuple(np.concatenate(pair) for pair in zip(labels, cut))
         cuts_added += bad.size
     raise CutRoundsExhaustedError("cutting-plane refinement did not converge", lp_solves)
 
@@ -579,19 +582,23 @@ def bisect_gamma(problem: SynthesisProblem) -> SynthesisResult:
             else:
                 lo = mid
 
-    # Warm starts land on other points of a degenerate LP optimum, so theta*
-    # comes from one more solve at gamma* without basis history: it then
-    # depends on gamma* alone.  If that solve does not decide, the verified
-    # theta of the warm solve stands.
+    # Working sets land on other points of a degenerate LP optimum, so theta*
+    # comes from one more solve at gamma* over the full fan without basis
+    # history: it then depends on gamma* alone.  If that solve runs out of
+    # cut rounds, a fresh working-set solve at gamma* (which also depends on
+    # gamma* alone) stands in; if that one runs out too, or a solve does not
+    # find theta feasible, the verified theta of the bisection stands.
     gamma_star, theta_star = best
     theta_source = "warm"
-    try:
-        final = solve_at(gamma_star, None)
-    except CutRoundsExhaustedError as exc:
-        lp_solves += exc.lp_solves
-    else:
+    for final_warm, source in ((None, "history_free"), ({}, "working_set")):
+        try:
+            final = solve_at(gamma_star, final_warm)
+        except CutRoundsExhaustedError as exc:
+            lp_solves += exc.lp_solves
+            continue
         if final.status == "feasible":
-            theta_star, theta_source = final.theta, "history_free"
+            theta_star, theta_source = final.theta, source
+        break
     params = layout.unpack(theta_star)
     all_margins, re_dp = cmap.evaluate(theta_star, 1.0 / gamma_star, eps)
     margins = cmap.by_block(all_margins)

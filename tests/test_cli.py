@@ -219,6 +219,25 @@ class TestErrors:
         assert res.exit_code == 2
         assert "must be a JSON object" in res.output
 
+    @pytest.mark.parametrize("command, override, message", [
+        ("generate", {"seed": None}, "seed must be integer, not null"),
+        ("generate", {"experiment": {"operating_points": None}},
+         "experiment.operating_points must be list, not null"),
+        ("generate", {"experiment": {"operating_points": ["30"]}},
+         "operating_points must be list"),
+        ("generate", {"experiment": {"n_samples": 4096.5}}, "must be integer"),
+        ("generate", {"experiment": {"periodic": 1}}, "must be boolean, not 1"),
+        ("synthesize", {"synthesis": {"options": {"eps": "1e-6"}}},
+         "eps must be null or number"),
+        ("synthesize", {"synthesis": {"options": {"planes": 64.0}}},
+         "planes must be string or integer"),
+    ])
+    def test_mistyped_leaf_rejected(self, tmp_path, command, override, message):
+        cfg = {"out_dir": str(tmp_path / "out"), **override}
+        res = run("--config", write_config(tmp_path, cfg), command)
+        assert res.exit_code == 2
+        assert message in res.output
+
     @pytest.mark.parametrize("planes", [0, 1, 2, -4])
     def test_invalid_plane_count_rejected(self, pipeline, tmp_path, planes):
         _, out = pipeline

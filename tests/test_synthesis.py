@@ -160,8 +160,8 @@ class TestAssembleConstraints:
         # independent hand evaluation
         z = np.exp(1j * omega)
         phi1 = math.sqrt(1 - 0.25) / (z - 0.5)
-        w0, w1, v1 = theta[layout.w_index(0, 0)], theta[layout.w_index(1, 0)], \
-            theta[layout.v_index(1, 0)]
+        # wbar[i, 0] sits at i * m, vbar[1, 0] first after the n_w wbar entries
+        w0, w1, v1 = theta[0], theta[layout.m], theta[layout.n_w]
         nk = w0 + w1 * phi1
         dk = 1.0 + v1 * phi1
         n_g = (1.0 / z)
@@ -215,7 +215,7 @@ class TestFeasibility:
         constraints = assemble_constraints(problem, math.inf)
         cmap, gamma_inv, eps = constraints
         witness = np.zeros(problem.layout.size)
-        witness[problem.layout.w_index(0, 0)] = 2.0
+        witness[0] = 2.0   # wbar[0, 0]
         dp = cmap.D @ witness + cmap.d0
         assert np.max(np.abs(dp - 1.0)) < 1e-9
         assert cmap.evaluate(witness, gamma_inv, eps)[0].min() > 0
@@ -248,22 +248,44 @@ class TestFeasibility:
         assert isinstance(err.value, CutRoundsExhaustedError)
         assert err.value.lp_solves == 1
 
-    def test_misfit_carried_basis_cold_starts(self):
-        # dropping the active cut rows of a solve leaves more basic variables
-        # than base rows; such a basis must give the same solve as none
+    def test_carried_labels_decide_as_the_full_fan(self):
+        # the active planes of a solve at gamma = 3 are rebuilt at gamma = 5
+        # on top of the working set; the answer is the cold full fan's
         problem = unstable_plant_problem(np.linspace(0.05, 3.0, 16))
         warm = {}
         feasibility_solve(assemble_constraints(problem, 3.0),
                           options=problem.options, warm=warm)
-        basis = warm["basis"]
-        basic = synthesis._hc.HighsBasisStatus.kBasic
-        n_basic = basis.col_status.count(basic) + basis.row_status.count(basic)
-        assert n_basic > len(basis.row_status)
+        n_carried = warm["labels"][0].size
+        assert n_carried > 0
         constraints = assemble_constraints(problem, 5.0)
         carried = feasibility_solve(constraints, options=problem.options, warm=warm)
-        cold = feasibility_solve(constraints, options=problem.options, warm={})
-        assert carried.status == cold.status == "feasible"
-        assert np.array_equal(carried.theta, cold.theta)
+        fresh = feasibility_solve(constraints, options=problem.options, warm={})
+        cold = feasibility_solve(constraints, options=problem.options)
+        assert carried.telemetry["rows"] == fresh.telemetry["rows"] + n_carried
+        assert fresh.telemetry["rows"] < cold.telemetry["rows"]
+        assert carried.status == fresh.status == cold.status == "feasible"
+
+    @pytest.mark.parametrize("gamma", [1.5, 2.9, 3.0])
+    def test_working_set_infeasible_below_gamma_star(self, gamma):
+        # gamma* is about 3.0013; below it the working set certifies
+        # infeasibility as the full fan does, with cuts where needed
+        problem = unstable_plant_problem(np.linspace(0.05, 3.0, 16))
+        constraints = assemble_constraints(problem, gamma)
+        working = feasibility_solve(constraints, options=problem.options, warm={})
+        full = feasibility_solve(constraints, options=problem.options)
+        assert working.status == full.status == "infeasible"
+        assert working.theta is None
+
+    def test_working_set_honours_max_cut_rounds(self):
+        problem = unstable_plant_problem(np.linspace(0.05, 3.0, 16))
+        constraints = assemble_constraints(problem, 3.0)
+        assert feasibility_solve(constraints, options=problem.options,
+                                 warm={}).telemetry["lp_solves"] > 1
+        with pytest.raises(CutRoundsExhaustedError) as err:
+            feasibility_solve(constraints,
+                              options=replace(problem.options, max_cut_rounds=1),
+                              warm={})
+        assert err.value.lp_solves == 1
 
     def test_unfinished_lp_raises_not_infeasible(self, monkeypatch):
         # a solve stopped by its iteration limit has decided nothing
@@ -295,7 +317,7 @@ class TestFeasibility:
         constraints = assemble_constraints(problem, 100.0)
         layout = problem.layout
         a_eq = np.zeros((2, layout.size))
-        i = layout.v_index(1, 0)
+        i = layout.n_w   # vbar[1, 0], the first entry after wbar
         a_eq[0, i] = 1.0
         a_eq[1, i] = 1.0
         outcome = feasibility_solve(constraints, (a_eq, np.array([0.0, 1.0])),
@@ -338,8 +360,8 @@ class TestFeasibility:
 
 class TestBisection:
     def test_theta_independent_of_search_path(self, small_problem, small_lpv_result):
-        # theta* is the history-free solve at gamma*, whatever the warm
-        # starts of the bisection went through
+        # theta* is the history-free solve at gamma*, whatever working sets
+        # the bisection went through
         constraints = assemble_constraints(small_problem, small_lpv_result.gamma)
         out = feasibility_solve(constraints, add_integral_action(small_problem),
                                 small_problem.options)
@@ -347,29 +369,64 @@ class TestBisection:
         assert np.array_equal(small_problem.layout.pack(small_lpv_result.theta),
                               out.theta)
 
+    def test_gamma_equals_full_fan_bisection(self, monkeypatch, small_problem,
+                                             small_lpv_result):
+        # working sets only change how each step decides, not what
+        solve = synthesis.feasibility_solve
+
+        def full_fan(constraints, equalities, options, warm):
+            return solve(constraints, equalities, options, warm=None)
+
+        monkeypatch.setattr(synthesis, "feasibility_solve", full_fan)
+        assert bisect_gamma(small_problem).gamma == small_lpv_result.gamma
+
+    @staticmethod
+    def _exhaust_final_solves(monkeypatch, history_free_only):
+        """Make the full-fan solve at gamma* (warm None) run out of cut
+        rounds, and with ``history_free_only`` False also the fresh
+        working-set solve (a warm dict other than the bisection's).
+        Returns the LP counts and feasible thetas of the solves that ran."""
+        solve = synthesis.feasibility_solve
+        record = {"lps": [], "feasible": []}
+
+        def exhausting(constraints, equalities, options, warm):
+            bisection_warm = record.setdefault("bisection_warm", warm)
+            if warm is None or (warm is not bisection_warm and not history_free_only):
+                raise CutRoundsExhaustedError("did not converge", 7)
+            out = solve(constraints, equalities, options, warm=warm)
+            record["lps"].append(out.telemetry["lp_solves"])
+            if out.status == "feasible":
+                record["feasible"].append(out.theta)
+            return out
+
+        monkeypatch.setattr(synthesis, "feasibility_solve", exhausting)
+        return record
+
     def test_undecided_history_free_solve_keeps_warm_theta(self, monkeypatch):
         problem = unstable_plant_problem(np.linspace(0.05, 3.0, 16), gamma_lo=1.0,
                                          gamma_hi=100.0, gamma_rtol=0.05)
         reference = bisect_gamma(problem)
-        solve = synthesis.feasibility_solve
-        warm_lps, feasible = [], []
-
-        def exhaust_history_free(constraints, equalities, options, warm):
-            if warm is None:
-                raise CutRoundsExhaustedError("did not converge", 7)
-            out = solve(constraints, equalities, options, warm=warm)
-            warm_lps.append(out.telemetry["lp_solves"])
-            if out.status == "feasible":
-                feasible.append(out.theta)
-            return out
-
-        monkeypatch.setattr(synthesis, "feasibility_solve", exhaust_history_free)
+        record = self._exhaust_final_solves(monkeypatch, history_free_only=False)
         result = bisect_gamma(problem)
         assert result.gamma == reference.gamma
         assert reference.telemetry["theta_source"] == "history_free"
         assert result.telemetry["theta_source"] == "warm"
-        assert np.array_equal(problem.layout.pack(result.theta), feasible[-1])
-        assert result.telemetry["lp_solves"] == sum(warm_lps) + 7
+        assert np.array_equal(problem.layout.pack(result.theta), record["feasible"][-1])
+        assert result.telemetry["lp_solves"] == sum(record["lps"]) + 7 + 7
+        assert result.margin_min() >= -1e-9
+
+    def test_undecided_history_free_solve_takes_working_set_theta(self, monkeypatch):
+        problem = unstable_plant_problem(np.linspace(0.05, 3.0, 16), gamma_lo=1.0,
+                                         gamma_hi=100.0, gamma_rtol=0.05)
+        reference = bisect_gamma(problem)
+        record = self._exhaust_final_solves(monkeypatch, history_free_only=True)
+        result = bisect_gamma(problem)
+        assert result.gamma == reference.gamma
+        assert result.telemetry["theta_source"] == "working_set"
+        fresh = feasibility_solve(assemble_constraints(problem, result.gamma),
+                                  options=problem.options, warm={})
+        assert np.array_equal(problem.layout.pack(result.theta), fresh.theta)
+        assert result.telemetry["lp_solves"] == sum(record["lps"]) + 7
         assert result.margin_min() >= -1e-9
 
     def test_iteration_count_bound(self):
@@ -401,11 +458,9 @@ class TestHighsBinding:
         from scipy.optimize._highspy import _core
         for method in ("setOptionValue", "addVars", "addRows", "changeColCost",
                        "run", "getModelStatus", "modelStatusToString",
-                       "getSolution", "getInfo", "getBasis", "setBasis",
-                       "clearSolver", "getNumCol", "getNumRow"):
+                       "getSolution", "getInfo", "clearSolver"):
             assert callable(getattr(_core._Highs, method, None)), method
-        for name in ("HighsStatus", "HighsModelStatus", "HighsBasisStatus",
-                     "kHighsInf"):
+        for name in ("HighsStatus", "HighsModelStatus", "kHighsInf"):
             assert hasattr(_core, name), name
 
 
