@@ -69,10 +69,9 @@ def handle_errors(fn):
 # config plumbing
 # ---------------------------------------------------------------------------
 
-# leaves that may also take the type of a second value: a fixed plane count,
-# and what the leaves whose default is null hold when set
-_ALTERNATIVE_TYPES = {"plant.constants_path": "", "synthesis.weights": {},
-                      "synthesis.options.eps": 0.0, "synthesis.options.planes": 0}
+# what the leaves whose default is null hold when set
+_ALTERNATIVE_TYPES = {"plant.constants_path": "", "experiment.controller0": {},
+                      "synthesis.weights": {}, "synthesis.options.eps": 0.0}
 _JSON_TYPES = {bool: "boolean", int: "integer", float: "number", str: "string",
                list: "list", dict: "object", type(None): "null"}
 
@@ -138,26 +137,26 @@ def load_config(path: str | None, seed: int | None, paper_scale: bool) -> dict:
 
 
 def _model_from_config(cfg: dict) -> LpvSurrogateModel:
-    plant = cfg.get("plant", {})
-    if plant.get("kind", "surrogate") != "surrogate":
+    plant = cfg["plant"]
+    if plant["kind"] != "surrogate":
         raise ConfigError("this command needs the surrogate plant; "
                           "an external dataset cannot be simulated")
-    path = plant.get("constants_path")
+    path = plant["constants_path"]
     return load_surrogate(path) if path else default_surrogate()
 
 
 def _data_sample_rate(cfg: dict) -> float:
     """Sample rate for dataset work; external datasets carry their own."""
-    plant = cfg.get("plant", {})
-    if plant.get("kind", "surrogate") == "surrogate":
+    plant = cfg["plant"]
+    if plant["kind"] == "surrogate":
         return _model_from_config(cfg).sample_rate
-    return float(plant.get("sample_rate", 1.0))
+    return float(plant["sample_rate"])
 
 
 def _grid_from_config(cfg: dict, sample_rate: float) -> FrequencyGrid:
     g = cfg["experiment"]["grid"]
     return FrequencyGrid.log_spaced(float(g["f_min_hz"]), float(g["f_max_hz"]),
-                                    int(g["n"]), sample_rate)
+                                    g["n"], sample_rate)
 
 
 def _weight_from_config(spec, sample_rate: float) -> RationalTf:
@@ -166,7 +165,7 @@ def _weight_from_config(spec, sample_rate: float) -> RationalTf:
 
 
 def _weights_from_config(cfg: dict, sample_rate: float) -> WeightSet:
-    spec = cfg["synthesis"].get("weights")
+    spec = cfg["synthesis"]["weights"]
     if spec is None:
         return defaults.default_weights(sample_rate)
     try:
@@ -178,31 +177,30 @@ def _weights_from_config(cfg: dict, sample_rate: float) -> WeightSet:
 
 def _sched_basis_from_config(cfg: dict, p_range) -> SchedulingBasis:
     syn = cfg["synthesis"]
-    kind = syn.get("scheduling.kind", "affine")
+    kind = syn["scheduling.kind"]
     if kind in ("constant", "lti"):
         return SchedulingBasis.constant(p_range)
     if kind == "affine":
         return SchedulingBasis.affine(p_range)
     if kind == "polynomial":
-        return SchedulingBasis.polynomial(int(syn.get("scheduling.degree", 1)), p_range)
+        return SchedulingBasis.polynomial(syn["scheduling.degree"], p_range)
     raise ConfigError(f"unknown scheduling kind {kind!r}")
 
 
 def _options_from_config(cfg: dict) -> SynthesisOptions:
-    o = cfg["synthesis"].get("options", {})
+    o = cfg["synthesis"]["options"]
     return SynthesisOptions(
-        eps=o.get("eps"),
-        gamma_lo=float(o.get("gamma_lo", 0.01)),
-        gamma_hi=float(o.get("gamma_hi", 1000.0)),
-        gamma_rtol=float(o.get("gamma_rtol", 1e-3)),
-        integral_action=bool(o.get("integral_action", True)),
-        planes=o.get("planes", "adaptive"),
-        theta_bound=float(o.get("theta_bound", 1e4)),
+        eps=o["eps"],
+        gamma_lo=float(o["gamma_lo"]),
+        gamma_hi=float(o["gamma_hi"]),
+        gamma_rtol=float(o["gamma_rtol"]),
+        integral_action=o["integral_action"],
+        theta_bound=float(o["theta_bound"]),
     )
 
 
 def _controller0_from_config(cfg: dict, sample_rate: float) -> RationalTf:
-    spec = cfg["experiment"].get("controller0")
+    spec = cfg["experiment"]["controller0"]
     if spec is None:
         return default_experiment_controller(sample_rate)
     return _weight_from_config(spec, sample_rate)
@@ -272,14 +270,13 @@ def _experiment_records(cfg: dict, model: LpvSurrogateModel):
     exp = cfg["experiment"]
     k0 = _controller0_from_config(cfg, model.sample_rate)
     period = None
-    if exp.get("periodic", True):
-        period = int(exp["n_samples"]) // int(exp.get("periods", 2))
+    if exp["periodic"]:
+        period = exp["n_samples"] // exp["periods"]
     records = {}
     for i, p in enumerate(exp["operating_points"]):
         d, u_g, y = generate_experiment(
-            model, k0, float(p), int(exp["n_samples"]),
-            float(exp["noise_std"]), int(cfg["seed"]) + i,
-            d_std=float(exp.get("d_std", 1.0)), periodic_period=period)
+            model, k0, float(p), exp["n_samples"], float(exp["noise_std"]),
+            cfg["seed"] + i, d_std=float(exp["d_std"]), periodic_period=period)
         records[float(p)] = (d, u_g, y)
     return k0, records
 
@@ -287,10 +284,10 @@ def _experiment_records(cfg: dict, model: LpvSurrogateModel):
 def _retain(cfg: dict, rec: TimeRecord) -> TimeRecord:
     """Drop the transient lead-in periods of a periodic experiment record."""
     exp = cfg["experiment"]
-    if not exp.get("periodic", True):
+    if not exp["periodic"]:
         return rec
-    period = len(rec) // int(exp.get("periods", 2))
-    skip = period * int(exp.get("lead_in_periods", 1))
+    period = len(rec) // exp["periods"]
+    skip = period * exp["lead_in_periods"]
     return TimeRecord(rec.samples[skip:], rec.sample_rate, rec.label)
 
 
@@ -299,11 +296,11 @@ def _estimate_dataset(cfg: dict, model, k0, records) -> FrfDataset:
     grid = _grid_from_config(cfg, model.sample_rate)
     entries = {}
     points = sorted(records)
-    bezout_tol = float(exp.get("bezout_tol", 0.5))
+    bezout_tol = float(exp["bezout_tol"])
     for p in points:
         d, u_g, y = (_retain(cfg, r) for r in records[p])
-        sens = etfe_estimate(d, u_g, grid, exp["window"], int(exp["segments"]))
-        proc = etfe_estimate(d, y, grid, exp["window"], int(exp["segments"]))
+        sens = etfe_estimate(d, u_g, grid, exp["window"], exp["segments"])
+        proc = etfe_estimate(d, y, grid, exp["window"], exp["segments"])
         pair, _ = coprime_from_closed_loop(sens, proc, k0, bezout_tol=bezout_tol)
         entries[(p, "S")] = sens
         entries[(p, "GS")] = proc
@@ -369,8 +366,8 @@ def _problem_from_dataset(cfg: dict, dataset: FrfDataset) -> SynthesisProblem:
              for p in points}
     p_range = dataset.scheduling_grid.range
     syn = cfg["synthesis"]
-    basis_n = laguerre_basis(float(syn["obf.pole"]), int(syn["obf.order_n"]))
-    basis_d = laguerre_basis(float(syn["obf.pole"]), int(syn["obf.order_d"]))
+    basis_n = laguerre_basis(float(syn["obf.pole"]), syn["obf.order_n"])
+    basis_d = laguerre_basis(float(syn["obf.pole"]), syn["obf.order_d"])
     weights = _weights_from_config(cfg, dataset.grid.sample_rate)
     return SynthesisProblem(pairs, weights, dataset.grid, dataset.scheduling_grid,
                             basis_n, basis_d,

@@ -32,7 +32,7 @@ def default_config() -> dict:
     return {
         "out_dir": "out",
         "seed": 0,
-        "plant": {"kind": "surrogate", "constants_path": None},
+        "plant": {"kind": "surrogate", "constants_path": None, "sample_rate": 1.0},
         "experiment": {
             "operating_points": [30.0, 40.0, 50.0],
             "n_samples": 65536,
@@ -44,6 +44,7 @@ def default_config() -> dict:
             "window": "rectangular",
             "segments": 1,
             "bezout_tol": 0.5,
+            "controller0": None,
             "grid": {"n": 512, "f_min_hz": 0.05, "f_max_hz": 90.0},
         },
         "synthesis": {
@@ -59,7 +60,6 @@ def default_config() -> dict:
                 "gamma_hi": 1000.0,
                 "gamma_rtol": 1e-3,
                 "integral_action": True,
-                "planes": "adaptive",
                 "theta_bound": 1e4,
             },
         },

@@ -8,18 +8,17 @@ is second-order-cone representable in the controller parameters theta (both
 D_p and the channel numerators are affine in theta).  One ``ConstraintMap``,
 built once per problem, holds every disc as a row r = (p, channel, omega).
 Feasibility subproblems are linear programs over its tangent half-planes:
-either a fixed fan of M planes shrunk by cos(pi/M) (a sound inner
-approximation), or adaptively, starting from an outer relaxation and adding
-exact-phase cuts until the returned theta verifies against the true cone
-constraints or the relaxation certifies infeasibility.  An outer bisection
-over gamma yields the performance level.
+starting from an outer relaxation, exact-phase cuts are added until the
+returned theta verifies against the true cone constraints or the relaxation
+certifies infeasibility.  An outer bisection over gamma yields the
+performance level.
 
 The LPs of one feasibility solve live in one HiGHS model (scipy's own
 binding): cuts are added as rows and each cut round hot-starts from the
-previous basis.  Inside the bisection an adaptive solve does not load the
-full fan of base planes: it starts from a small working set (a few evenly
-spaced frequencies of every fan block) plus the planes that were active in
-the previous gamma's last optimal LP, rebuilt at the new gamma; any subset of
+previous basis.  Inside the bisection a solve does not load the full fan
+of base planes: it starts from a small working set (a few evenly spaced
+frequencies of every fan block) plus the planes that were active in the
+previous gamma's last optimal LP, rebuilt at the new gamma; any subset of
 tangent planes is still an outer relaxation, so the cuts keep every answer
 sound.  Another row set may end on another vertex of a degenerate LP
 optimum, so once the bracket closes theta* is taken from one more solve at
@@ -30,7 +29,6 @@ module-level ``linprog`` so that a tracer can wrap it by name.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -198,16 +196,8 @@ class SynthesisOptions:
     gamma_hi: float = 1e3
     gamma_rtol: float = 1e-3
     integral_action: bool = False
-    planes: object = "adaptive"   # "adaptive" or an int M >= 3 for a fixed fan
     theta_bound: float = 1e4
     max_cut_rounds: int = 50
-
-    def __post_init__(self):
-        # a fan of M planes is scaled by 1/cos(pi/M), positive only for M >= 3
-        fan = isinstance(self.planes, numbers.Integral) and not isinstance(self.planes, bool)
-        if self.planes != "adaptive" and not (fan and self.planes >= 3):
-            raise ValueError(
-                f"planes must be 'adaptive' or an integer >= 3, not {self.planes!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,6 +252,9 @@ class SynthesisResult:
         return min(float(np.min(v)) for v in self.margins.values())
 
 
+_BASE_ANGLES = np.array([0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi])
+
+
 @dataclass(frozen=True, eq=False)
 class ConstraintMap:
     """Row r = (p, channel, omega) of the synthesis condition reads
@@ -295,11 +288,13 @@ class ConstraintMap:
         n_abs = np.abs(self.apply(self.N, self.n0, rows, theta))
         return re_d - gamma_inv * n_abs - eps, re_d
 
-    def fan(self, angles: np.ndarray):
-        """(rows, cos, sin) of one tangent plane per row and angle, ordered
-        by (p, channel), then angle, then frequency."""
+    def fan(self):
+        """(rows, cos, sin) of the base fan: one tangent plane per row and
+        angle of ``_BASE_ANGLES``, ordered by (p, channel), then angle, then
+        frequency.  Every plane bounds the disc from outside."""
         blocks = np.arange(self.d0.size).reshape(-1, 1, self.n_freq)
-        fan = np.broadcast_arrays(blocks, np.cos(angles)[:, None], np.sin(angles)[:, None])
+        fan = np.broadcast_arrays(blocks, np.cos(_BASE_ANGLES)[:, None],
+                                  np.sin(_BASE_ANGLES)[:, None])
         return tuple(a.ravel() for a in fan)
 
     def tangent_rows(self, rows, cos, sin, scale: float, eps: float):
@@ -391,7 +386,6 @@ class FeasibilityOutcome:
     telemetry: dict
 
 
-_BASE_ANGLES = np.array([0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi])
 # frequency rows taken from each (p, channel, angle) block of the base fan to
 # start a working-set solve; cuts add whatever else the solve needs
 WORKING_ROWS = 8
@@ -432,7 +426,7 @@ def _working_set(cmap: ConstraintMap, carried) -> tuple:
     """(rows, cos, sin) labels that start a working-set solve: ``WORKING_ROWS``
     evenly spaced frequency rows of every base fan block, then the
     ``carried`` labels not already among them."""
-    rows, cos, sin = cmap.fan(_BASE_ANGLES)
+    rows, cos, sin = cmap.fan()
     pick = np.unique(np.linspace(0, cmap.n_freq - 1, WORKING_ROWS).round().astype(int))
     keep = (np.arange(0, rows.size, cmap.n_freq)[:, None] + pick).ravel()
     labels = np.column_stack([rows[keep], cos[keep], sin[keep]])
@@ -451,34 +445,24 @@ def feasibility_solve(constraints: tuple, equalities=None,
 
     ``constraints`` is (map, gamma_inv, eps) from ``assemble_constraints``.
     Solves max-margin linear programs over tangent half-planes in one live
-    HiGHS model.  In adaptive mode the LP is an outer relaxation refined with
-    exact-phase cuts at violated points, so "infeasible" is a certificate; a
-    returned theta is verified against the true cone constraints.  Numerical
-    solver failures raise, distinct from infeasibility; a cut loop that
-    runs out of rounds raises ``CutRoundsExhaustedError``.
+    HiGHS model.  The LP is an outer relaxation refined with exact-phase
+    cuts at violated points, so "infeasible" is a certificate; a returned
+    theta is verified against the true cone constraints.  Numerical solver
+    failures raise, distinct from infeasibility; a cut loop that runs out
+    of rounds raises ``CutRoundsExhaustedError``.
 
     Without ``warm`` every LP is solved from scratch over the full fan of
     base planes.  With it (a dict that ``bisect_gamma`` keeps across gamma
-    steps) an adaptive solve starts from the working set of
-    ``_working_set`` and ``warm["labels"]``, cut rounds hot-start from the
-    previous basis, and the (row, cos, sin) labels of the planes with a
-    nonzero dual in each optimal LP are stored back in ``warm["labels"]``.
-    A fixed fan is an inner approximation, of which a subset proves nothing,
-    so it always loads every plane.
+    steps) the solve starts from the working set of ``_working_set`` and
+    ``warm["labels"]``, cut rounds hot-start from the previous basis, and
+    the (row, cos, sin) labels of the planes with a nonzero dual in each
+    optimal LP are stored back in ``warm["labels"]``.
     """
     options = options or SynthesisOptions()
     cmap, gamma_inv, eps = constraints
     n_theta = cmap.D.shape[1]
-    adaptive = options.planes == "adaptive"
-    if not adaptive:
-        m_planes = int(options.planes)
-        labels = cmap.fan(2.0 * math.pi * np.arange(m_planes) / m_planes)
-        factor = 1.0 / math.cos(math.pi / m_planes)
-    else:
-        factor = 1.0
-        labels = (cmap.fan(_BASE_ANGLES) if warm is None
-                  else _working_set(cmap, warm.get("labels")))
-    a_base, b_base = cmap.tangent_rows(*labels, gamma_inv * factor, eps)
+    labels = cmap.fan() if warm is None else _working_set(cmap, warm.get("labels"))
+    a_base, b_base = cmap.tangent_rows(*labels, gamma_inv, eps)
 
     # columns theta, then the margin t; maximize t.  Rows: equalities, the
     # base planes a theta + t <= b, then the cuts of each round.
@@ -505,7 +489,7 @@ def feasibility_solve(constraints: tuple, equalities=None,
         if res.status == 2:
             return FeasibilityOutcome("infeasible", None, -math.inf,
                                       {"lp_solves": lp_solves, "cuts": cuts_added,
-                                       "rows": a_ub.shape[0], "plane_factor": factor})
+                                       "rows": a_ub.shape[0]})
         if res.status != 0:
             raise SolverFailureError(f"LP solver failure: {res.message}")
         if warm is not None:
@@ -514,16 +498,11 @@ def feasibility_solve(constraints: tuple, equalities=None,
         t_star = -res.fun
         theta = res.x[:-1]
         tel = {"lp_solves": lp_solves, "cuts": cuts_added, "rows": a_ub.shape[0],
-               "plane_factor": factor, "lp_margin": t_star}
+               "lp_margin": t_star}
         if t_star < 0.0:
             return FeasibilityOutcome("infeasible", None, t_star, tel)
         margins, _ = cmap.evaluate(theta, gamma_inv, eps)
         tel["margin"] = true_min = float(margins.min())
-        if not adaptive:
-            if true_min < -1e-12:
-                raise SolverFailureError(
-                    "fixed-plane solution violates the cone constraints")
-            return FeasibilityOutcome("feasible", theta, true_min, tel)
         bad = np.flatnonzero(margins < -1e-12)
         if not bad.size:
             return FeasibilityOutcome("feasible", theta, true_min, tel)
@@ -612,8 +591,6 @@ def bisect_gamma(problem: SynthesisProblem) -> SynthesisResult:
         "bisect_steps": bisect_steps,
         "lp_solves": lp_solves,
         "eps": eps,
-        "planes": options.planes,
-        "plane_factor": out_hi.telemetry["plane_factor"],
         "wall_time_s": time.perf_counter() - t_start,
         "gamma_bracket": (lo, hi),
         "theta_source": theta_source,

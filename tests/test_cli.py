@@ -229,21 +229,13 @@ class TestErrors:
         ("generate", {"experiment": {"periodic": 1}}, "must be boolean, not 1"),
         ("synthesize", {"synthesis": {"options": {"eps": "1e-6"}}},
          "eps must be null or number"),
-        ("synthesize", {"synthesis": {"options": {"planes": 64.0}}},
-         "planes must be string or integer"),
+        ("synthesize", {"plant": {"kind": "dataset", "sample_rate": None}},
+         "plant.sample_rate must be number, not null"),
+        ("generate", {"experiment": {"controller0": 5}},
+         "experiment.controller0 must be null or object, not 5"),
     ])
     def test_mistyped_leaf_rejected(self, tmp_path, command, override, message):
         cfg = {"out_dir": str(tmp_path / "out"), **override}
         res = run("--config", write_config(tmp_path, cfg), command)
         assert res.exit_code == 2
         assert message in res.output
-
-    @pytest.mark.parametrize("planes", [0, 1, 2, -4])
-    def test_invalid_plane_count_rejected(self, pipeline, tmp_path, planes):
-        _, out = pipeline
-        cfg = tiny_config(out)
-        cfg["synthesis"]["options"]["planes"] = planes
-        res = run("--config", write_config(tmp_path, cfg, name="planes.json"),
-                  "synthesize")
-        assert res.exit_code == 2
-        assert "integer >= 3" in res.output

@@ -3,8 +3,11 @@
 The benchmark wraps lpvsyn attributes by name, reads call arguments by
 position to count work, and stamps ``_kernels.NUMBA_ENABLED`` into every
 result.  Its files are loaded here read-only, by path, so a rename in
-``src/`` that would break a benchmark run fails a test first.
+``src/`` that would break a benchmark run fails a test first.  Its config
+files go through the CLI's config loader, so a stricter loader fails a test
+first too.
 """
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -84,3 +87,13 @@ def test_tracer_counts_every_synthesis_lp(tracer):
     assert metrics["synthesis.feasibility_solves"] \
         == 3 + result.telemetry["bisect_steps"]
     assert metrics["synthesis.lp_rows_max"] > 0
+
+
+@pytest.mark.parametrize("path", sorted((PERFBENCH / "configs").glob("*.json")),
+                         ids=lambda p: p.stem)
+def test_benchmark_config_loads_with_default_options(path):
+    # keys the default config lacks (a leftover "planes") are kept, not read
+    cfg = cli.load_config(str(path), None, False)
+    default = cli.load_config(None, None, False)
+    assert dataclasses.asdict(cli._options_from_config(cfg)) \
+        == dataclasses.asdict(cli._options_from_config(default))

@@ -36,17 +36,6 @@ def zero_plant_problem(n_freq=24, **options):
                             SchedulingBasis.constant((-1.0, 1.0)), opts)
 
 
-class TestSynthesisOptions:
-    @pytest.mark.parametrize("planes", [0, 1, 2, -4, 64.0, True, "fixed"])
-    def test_invalid_plane_count_rejected(self, planes):
-        with pytest.raises(ValueError, match="integer >= 3"):
-            SynthesisOptions(planes=planes)
-
-    @pytest.mark.parametrize("planes", ["adaptive", 3, 64, np.int64(8)])
-    def test_valid_plane_setting_accepted(self, planes):
-        assert SynthesisOptions(planes=planes).planes == planes
-
-
 class TestControllerParameters:
     def test_normalization_enforced(self):
         basis = laguerre_basis(0.5, 2)
@@ -332,30 +321,6 @@ class TestFeasibility:
         outcome = feasibility_solve(assemble_constraints(problem, 4.0),
                                     options=problem.options)
         assert outcome.status == "feasible"
-
-    def test_fixed_plane_mode(self):
-        problem = zero_plant_problem(planes=64)
-        outcome = feasibility_solve(assemble_constraints(problem, 4.0),
-                                    options=problem.options)
-        assert outcome.status == "feasible"
-        assert outcome.telemetry["plane_factor"] == pytest.approx(
-            1.0 / math.cos(math.pi / 64))
-
-    def test_fixed_planes_agree_with_adaptive(self, analytic_pairs, weights,
-                                              model, k0, sched_grid):
-        # the 64-plane fan is conservative by at most 1/cos(pi/64); both
-        # solver paths must bracket the same level on the same data
-        from lpvsyn import frozen_coprime_from_model, frozen_tf
-        grid = FrequencyGrid.log_spaced(0.05, 90.0, 24, model.sample_rate)
-        pairs = {p: frozen_coprime_from_model(frozen_tf(model, p), k0, grid)[0]
-                 for p in (30.0, 40.0, 50.0)}
-        gamma = {}
-        for planes in ("adaptive", 64):
-            problem = make_problem(pairs, weights, grid, sched_grid,
-                                   order=3, integral=False, planes=planes)
-            gamma[planes] = bisect_gamma(problem).gamma
-        assert gamma[64] >= gamma["adaptive"] * (1 - 2e-3)
-        assert gamma[64] <= gamma["adaptive"] * (1.0 / math.cos(math.pi / 64) + 2e-3)
 
 
 class TestBisection:
