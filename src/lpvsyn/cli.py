@@ -72,6 +72,8 @@ def handle_errors(fn):
 # what the leaves whose default is null hold when set
 _ALTERNATIVE_TYPES = {"plant.constants_path": "", "experiment.controller0": {},
                       "synthesis.weights": {}, "synthesis.options.eps": 0.0}
+# keys of older configs that no longer have a default: accepted, never read
+_RETIRED_KEYS = {"synthesis.options.planes"}
 _JSON_TYPES = {bool: "boolean", int: "integer", float: "number", str: "string",
                list: "list", dict: "object", type(None): "null"}
 
@@ -100,13 +102,17 @@ def _check_leaf(name: str, default, val) -> None:
 
 
 def _deep_update(base: dict, override: dict, prefix: str = "") -> dict:
-    """``override`` merged into ``base``; a section that is an object in
-    ``base`` must stay one, and a leaf of ``base`` keeps its type."""
+    """``override`` merged into ``base``; every key must be one of ``base``
+    (or retired), a section that is an object in ``base`` must stay one, and
+    a leaf of ``base`` keeps its type."""
     out = dict(base)
     for key, val in override.items():
-        if not isinstance(out.get(key), dict):
-            if key in out:
-                _check_leaf(f"{prefix}{key}", out[key], val)
+        if key not in out:
+            if f"{prefix}{key}" not in _RETIRED_KEYS:
+                raise ConfigError(f"unknown config key {prefix}{key}")
+            out[key] = val
+        elif not isinstance(out[key], dict):
+            _check_leaf(f"{prefix}{key}", out[key], val)
             out[key] = val
         elif isinstance(val, dict):
             out[key] = _deep_update(out[key], val, f"{prefix}{key}.")

@@ -21,10 +21,15 @@ frequencies of every fan block) plus the planes that were active in the
 previous gamma's last optimal LP, rebuilt at the new gamma; any subset of
 tangent planes is still an outer relaxation, so the cuts keep every answer
 sound.  Another row set may end on another vertex of a degenerate LP
-optimum, so once the bracket closes theta* is taken from one more solve at
-gamma* over the full fan in which every LP starts from scratch; theta* then
-depends on gamma* alone, not on the search path.  Each LP goes through the
-module-level ``linprog`` so that a tracer can wrap it by name.
+optimum, so once the bracket closes theta* is taken from one central solve
+at gamma*: a fresh working set without carried planes, each cut round solved
+from scratch by HiGHS's interior-point method without crossover, which stops
+near the analytic centre of the optimal face rather than at a vertex.
+theta* then depends on gamma* alone, not on the search path
+(``theta_source`` "central"); if that solve runs out of cut rounds or finds
+no feasible theta, the verified theta of the bisection stands ("warm").
+Each LP goes through the module-level ``linprog`` so that a tracer can wrap
+it by name.
 """
 from __future__ import annotations
 
@@ -391,6 +396,9 @@ class FeasibilityOutcome:
 WORKING_ROWS = 8
 # as scipy's linprog(method="highs"): dual simplex (strategy 1), no logging
 _HIGHS_OPTIONS = (("output_flag", False), ("simplex_strategy", 1))
+# the central solve: interior point without crossover, so theta ends near the
+# analytic centre of the optimal face, not at a vertex
+_CENTRAL_OPTIONS = (("solver", "ipm"), ("run_crossover", "off"))
 _SCIPY_STATUS = {_hc.HighsModelStatus.kOptimal: 0, _hc.HighsModelStatus.kInfeasible: 2}
 
 
@@ -439,7 +447,8 @@ def _working_set(cmap: ConstraintMap, carried) -> tuple:
 
 def feasibility_solve(constraints: tuple, equalities=None,
                       options: SynthesisOptions | None = None,
-                      warm: dict | None = None) -> FeasibilityOutcome:
+                      warm: dict | None = None, *,
+                      _central: bool = False) -> FeasibilityOutcome:
     """Find theta satisfying every cone constraint strictly, or certify
     infeasibility.
 
@@ -456,18 +465,24 @@ def feasibility_solve(constraints: tuple, equalities=None,
     steps) the solve starts from the working set of ``_working_set`` and
     ``warm["labels"]``, cut rounds hot-start from the previous basis, and
     the (row, cos, sin) labels of the planes with a nonzero dual in each
-    optimal LP are stored back in ``warm["labels"]``.
+    optimal LP are stored back in ``warm["labels"]``.  ``_central`` (without
+    ``warm``) is the central solve of ``bisect_gamma``: the working set alone,
+    every LP solved from scratch by the interior-point method without
+    crossover.
     """
     options = options or SynthesisOptions()
     cmap, gamma_inv, eps = constraints
     n_theta = cmap.D.shape[1]
-    labels = cmap.fan() if warm is None else _working_set(cmap, warm.get("labels"))
+    if warm is not None:
+        labels = _working_set(cmap, warm.get("labels"))
+    else:
+        labels = _working_set(cmap, None) if _central else cmap.fan()
     a_base, b_base = cmap.tangent_rows(*labels, gamma_inv, eps)
 
     # columns theta, then the margin t; maximize t.  Rows: equalities, the
     # base planes a theta + t <= b, then the cuts of each round.
     model = _hc._Highs()
-    for key, value in _HIGHS_OPTIONS:
+    for key, value in _HIGHS_OPTIONS + (_CENTRAL_OPTIONS if _central else ()):
         model.setOptionValue(key, value)
     bound = np.full(n_theta + 1, options.theta_bound)
     bound[-1] = _hc.kHighsInf
@@ -529,17 +544,17 @@ def bisect_gamma(problem: SynthesisProblem) -> SynthesisResult:
     t_start = time.perf_counter()
     lp_solves = 0
 
-    def solve_at(gamma: float, warm: dict | None) -> FeasibilityOutcome:
+    def solve_at(gamma: float, **kwargs) -> FeasibilityOutcome:
         nonlocal lp_solves
         out = feasibility_solve((cmap, _gamma_inv(gamma), eps), equalities, options,
-                                warm=warm)
+                                **kwargs)
         lp_solves += out.telemetry["lp_solves"]
         return out
 
     warm = {}
     hi = options.gamma_hi
     lo = options.gamma_lo
-    out_hi = solve_at(hi, warm)
+    out_hi = solve_at(hi, warm=warm)
     if out_hi.status != "feasible":
         raise SynthesisInfeasibleError(
             f"infeasible at the gamma upper bound {hi}",
@@ -547,14 +562,14 @@ def bisect_gamma(problem: SynthesisProblem) -> SynthesisResult:
                          **out_hi.telemetry})
     best = (hi, out_hi.theta)
 
-    out_lo = solve_at(lo, warm)
+    out_lo = solve_at(lo, warm=warm)
     bisect_steps = 0
     if out_lo.status == "feasible":
         best = (lo, out_lo.theta)
     else:
         while hi - lo > options.gamma_rtol * hi:
             mid = 0.5 * (lo + hi)
-            out_mid = solve_at(mid, warm)
+            out_mid = solve_at(mid, warm=warm)
             bisect_steps += 1
             if out_mid.status == "feasible":
                 hi, best = mid, (mid, out_mid.theta)
@@ -562,22 +577,20 @@ def bisect_gamma(problem: SynthesisProblem) -> SynthesisResult:
                 lo = mid
 
     # Working sets land on other points of a degenerate LP optimum, so theta*
-    # comes from one more solve at gamma* over the full fan without basis
-    # history: it then depends on gamma* alone.  If that solve runs out of
-    # cut rounds, a fresh working-set solve at gamma* (which also depends on
-    # gamma* alone) stands in; if that one runs out too, or a solve does not
-    # find theta feasible, the verified theta of the bisection stands.
+    # comes from one central solve at gamma*: no carried planes, each cut
+    # round solved from scratch by the interior-point method, which ends near
+    # the analytic centre of the optimal face.  theta* then depends on gamma*
+    # alone.  If that solve runs out of cut rounds or does not find theta
+    # feasible, the verified theta of the bisection stands.
     gamma_star, theta_star = best
     theta_source = "warm"
-    for final_warm, source in ((None, "history_free"), ({}, "working_set")):
-        try:
-            final = solve_at(gamma_star, final_warm)
-        except CutRoundsExhaustedError as exc:
-            lp_solves += exc.lp_solves
-            continue
+    try:
+        final = solve_at(gamma_star, _central=True)
+    except CutRoundsExhaustedError as exc:
+        lp_solves += exc.lp_solves
+    else:
         if final.status == "feasible":
-            theta_star, theta_source = final.theta, source
-        break
+            theta_star, theta_source = final.theta, "central"
     params = layout.unpack(theta_star)
     all_margins, re_dp = cmap.evaluate(theta_star, 1.0 / gamma_star, eps)
     margins = cmap.by_block(all_margins)

@@ -239,3 +239,16 @@ class TestErrors:
         res = run("--config", write_config(tmp_path, cfg), command)
         assert res.exit_code == 2
         assert message in res.output
+
+    @pytest.mark.parametrize("override, message", [
+        ({"experiment": {"n_sampels": 4096}}, "unknown config key experiment.n_sampels"),
+        ({"synthesis": {"options": {"gamma_rtl": 0.1}}},
+         "unknown config key synthesis.options.gamma_rtl"),
+        ({"sede": 3}, "unknown config key sede"),
+    ])
+    def test_unknown_key_rejected(self, tmp_path, override, message):
+        # a misspelled key would otherwise leave its default in force
+        cfg = {"out_dir": str(tmp_path / "out"), **override}
+        res = run("--config", write_config(tmp_path, cfg), "generate")
+        assert res.exit_code == 2
+        assert message in res.output

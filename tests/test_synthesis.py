@@ -301,6 +301,31 @@ class TestFeasibility:
             feasibility_solve(assemble_constraints(problem, 4.0),
                               options=problem.options)
 
+    def test_stopped_interior_point_raises_not_infeasible(self, monkeypatch):
+        # an interior-point run stopped early has decided nothing: HiGHS says
+        # kIterationLimit, which is status 4 and fails the central solve
+        solve = synthesis.linprog
+        statuses = []
+
+        def limited(model, *, A_ub):
+            model.setOptionValue("ipm_iteration_limit", 1)
+            res = solve(model, A_ub=A_ub)
+            statuses.append(res.status)
+            return res
+
+        monkeypatch.setattr(synthesis, "linprog", limited)
+        problem = unstable_plant_problem(np.linspace(0.05, 3.0, 16), gamma_lo=1.0,
+                                         gamma_hi=100.0, gamma_rtol=0.05)
+        constraints = assemble_constraints(problem, 5.0)
+        with pytest.raises(SolverFailureError, match="LP solver failure"):
+            feasibility_solve(constraints, options=problem.options, _central=True)
+        assert statuses == [4]
+        # the simplex solves of the bisection ignore the limit; its central
+        # solve at gamma* fails the same way
+        with pytest.raises(SolverFailureError, match="LP solver failure"):
+            bisect_gamma(problem)
+        assert statuses[-1] == 4 and statuses.count(4) == 2
+
     def test_contradictory_equalities_infeasible(self):
         problem = zero_plant_problem()
         constraints = assemble_constraints(problem, 100.0)
@@ -325,12 +350,12 @@ class TestFeasibility:
 
 class TestBisection:
     def test_theta_independent_of_search_path(self, small_problem, small_lpv_result):
-        # theta* is the history-free solve at gamma*, whatever working sets
-        # the bisection went through
+        # theta* is the central solve at gamma*, whatever working sets the
+        # bisection went through
         constraints = assemble_constraints(small_problem, small_lpv_result.gamma)
         out = feasibility_solve(constraints, add_integral_action(small_problem),
-                                small_problem.options)
-        assert small_lpv_result.telemetry["theta_source"] == "history_free"
+                                small_problem.options, _central=True)
+        assert small_lpv_result.telemetry["theta_source"] == "central"
         assert np.array_equal(small_problem.layout.pack(small_lpv_result.theta),
                               out.theta)
 
@@ -339,25 +364,30 @@ class TestBisection:
         # working sets only change how each step decides, not what
         solve = synthesis.feasibility_solve
 
-        def full_fan(constraints, equalities, options, warm):
+        def full_fan(constraints, equalities, options, warm=None, _central=False):
+            if _central:
+                return solve(constraints, equalities, options, _central=True)
             return solve(constraints, equalities, options, warm=None)
 
         monkeypatch.setattr(synthesis, "feasibility_solve", full_fan)
         assert bisect_gamma(small_problem).gamma == small_lpv_result.gamma
 
-    @staticmethod
-    def _exhaust_final_solves(monkeypatch, history_free_only):
-        """Make the full-fan solve at gamma* (warm None) run out of cut
-        rounds, and with ``history_free_only`` False also the fresh
-        working-set solve (a warm dict other than the bisection's).
-        Returns the LP counts and feasible thetas of the solves that ran."""
+    def test_exhausted_central_solve_keeps_warm_theta(self, monkeypatch):
+        # the central solve at gamma* needs 3 LPs here; with one cut round it
+        # runs out, and the bisection's verified theta stands
+        problem = unstable_plant_problem(np.linspace(0.05, 3.0, 16), gamma_lo=1.0,
+                                         gamma_hi=100.0, gamma_rtol=0.05)
+        reference = bisect_gamma(problem)
         solve = synthesis.feasibility_solve
         record = {"lps": [], "feasible": []}
 
-        def exhausting(constraints, equalities, options, warm):
-            bisection_warm = record.setdefault("bisection_warm", warm)
-            if warm is None or (warm is not bisection_warm and not history_free_only):
-                raise CutRoundsExhaustedError("did not converge", 7)
+        def exhausting(constraints, equalities, options, warm=None, _central=False):
+            if _central:
+                with pytest.raises(CutRoundsExhaustedError) as err:
+                    solve(constraints, equalities, replace(options, max_cut_rounds=1),
+                          _central=True)
+                record["lps"].append(err.value.lp_solves)
+                raise err.value
             out = solve(constraints, equalities, options, warm=warm)
             record["lps"].append(out.telemetry["lp_solves"])
             if out.status == "feasible":
@@ -365,33 +395,13 @@ class TestBisection:
             return out
 
         monkeypatch.setattr(synthesis, "feasibility_solve", exhausting)
-        return record
-
-    def test_undecided_history_free_solve_keeps_warm_theta(self, monkeypatch):
-        problem = unstable_plant_problem(np.linspace(0.05, 3.0, 16), gamma_lo=1.0,
-                                         gamma_hi=100.0, gamma_rtol=0.05)
-        reference = bisect_gamma(problem)
-        record = self._exhaust_final_solves(monkeypatch, history_free_only=False)
         result = bisect_gamma(problem)
         assert result.gamma == reference.gamma
-        assert reference.telemetry["theta_source"] == "history_free"
+        assert reference.telemetry["theta_source"] == "central"
         assert result.telemetry["theta_source"] == "warm"
+        assert record["lps"][-1] == 1
         assert np.array_equal(problem.layout.pack(result.theta), record["feasible"][-1])
-        assert result.telemetry["lp_solves"] == sum(record["lps"]) + 7 + 7
-        assert result.margin_min() >= -1e-9
-
-    def test_undecided_history_free_solve_takes_working_set_theta(self, monkeypatch):
-        problem = unstable_plant_problem(np.linspace(0.05, 3.0, 16), gamma_lo=1.0,
-                                         gamma_hi=100.0, gamma_rtol=0.05)
-        reference = bisect_gamma(problem)
-        record = self._exhaust_final_solves(monkeypatch, history_free_only=True)
-        result = bisect_gamma(problem)
-        assert result.gamma == reference.gamma
-        assert result.telemetry["theta_source"] == "working_set"
-        fresh = feasibility_solve(assemble_constraints(problem, result.gamma),
-                                  options=problem.options, warm={})
-        assert np.array_equal(problem.layout.pack(result.theta), fresh.theta)
-        assert result.telemetry["lp_solves"] == sum(record["lps"]) + 7
+        assert result.telemetry["lp_solves"] == sum(record["lps"])
         assert result.margin_min() >= -1e-9
 
     def test_iteration_count_bound(self):
