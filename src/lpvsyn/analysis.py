@@ -105,47 +105,33 @@ def _escalation_bases(grid: FrequencyGrid, worst_omega: float | None):
 def _certify(rows_per_p: dict, grid: FrequencyGrid, eps: float,
              basis: ObfBasis | None, delays: dict):
     """Run the multiplier LP per operating point, escalating the basis when
-    none was pinned by the caller."""
+    none was pinned by the caller.
+
+    Rung 0 of the ladder is the constant multiplier alpha = +/-1 (the empty
+    basis, which needs no LP): when it certifies, re-parameterized (absorbed)
+    margins stay bit-identical.
+    """
     margins = {}
     multipliers = {}
     for p, dtilde in rows_per_p.items():
         idx = int(np.argmin(dtilde.real)) % len(grid)
         worst = float(grid.omegas[idx])
-        candidates = [basis] if basis is not None else list(_escalation_bases(grid, worst))
+        ladder = [ObfBasis(np.zeros(0, dtype=complex))]
+        ladder += [basis] if basis is not None else list(_escalation_bases(grid, worst))
         first_sign = 1.0 if float(np.mean(dtilde.real)) >= 0.0 else -1.0
-        found = False
-        # prefer the trivial multiplier: alpha = +/-1 already certifying keeps
-        # re-parameterized (absorbed) margins bit-identical
-        for sign in (first_sign, -first_sign):
-            trivial = float((sign * dtilde.real).min())
-            if trivial >= eps:
-                margins[p] = trivial
-                multipliers[p] = MultiplierParameters(
-                    np.zeros(0), ObfBasis(np.zeros(0, dtype=complex)),
-                    delays.get(p, 0), sign)
-                found = True
+        reps = dtilde.size // len(grid)
+        phis = ((cand, np.tile(eval_basis(cand, grid), (1, reps))) for cand in ladder)
+        for (cand, phi), sign in ((cp, s) for cp in phis for s in (first_sign, -first_sign)):
+            beta, t_star = _multiplier_lp(sign * dtilde, phi, eps)
+            if beta is None or t_star < eps:
+                continue
+            alpha = sign * (phi[0] + beta @ phi[1:])
+            check = (dtilde * alpha).real
+            if float(check.min()) >= eps * (1.0 - 1e-9):
+                margins[p] = float(check.min())
+                multipliers[p] = MultiplierParameters(beta, cand, delays.get(p, 0), sign)
                 break
-        if found:
-            continue
-        for cand in candidates:
-            phi = eval_basis(cand, grid)
-            if dtilde.size != phi.shape[1]:
-                phi = np.tile(phi, (1, dtilde.size // phi.shape[1]))
-            for sign in (first_sign, -first_sign):
-                beta, t_star = _multiplier_lp(sign * dtilde, phi, eps)
-                if beta is None or t_star < eps:
-                    continue
-                alpha = sign * (phi[0] + (beta @ phi[1:] if beta.size else 0.0))
-                check = (dtilde * alpha).real
-                if float(check.min()) >= eps * (1.0 - 1e-9):
-                    margins[p] = float(check.min())
-                    multipliers[p] = MultiplierParameters(beta, cand,
-                                                          delays.get(p, 0), sign)
-                    found = True
-                    break
-            if found:
-                break
-        if not found:
+        else:
             return None, p
     return (margins, multipliers), None
 

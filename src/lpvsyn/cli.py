@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -392,7 +391,10 @@ def _closed_loop(cfg: dict, dataset: FrfDataset, params: ControllerParameters):
 def result_to_dict(result: SynthesisResult, sample_rate: float) -> dict:
     margins = {f"p={p:g}/{c}": [round(float(v), 12) for v in arr]
                for (p, c), arr in sorted(result.margins.items())}
-    telemetry = {k: v for k, v in result.telemetry.items() if k != "wall_time_s"}
+    # wall time and the LP count depend on the run and the search path, not
+    # on the result; they stay in result.telemetry for tracing
+    telemetry = {k: v for k, v in result.telemetry.items()
+                 if k not in ("wall_time_s", "lp_solves")}
     return {
         "gamma": result.gamma,
         "re_dp_min": result.re_dp_min,
@@ -498,6 +500,18 @@ def simulate(ctx, controller_file):
     click.echo(f"wrote {out / 'metrics.json'}")
 
 
+def _write_table(path, header: str, blocks) -> None:
+    """Plot-ready CSV: each block is (labels, columns), and each of its rows
+    is the labels followed by the shortest round-trip repr of one entry of
+    every column."""
+    lines = [header]
+    for labels, columns in blocks:
+        prefix = "".join(f"{label}," for label in labels)
+        lines.extend(prefix + ",".join(map(repr, row))
+                     for row in np.column_stack(columns).tolist())
+    path.write_text("\n".join(lines) + "\n")
+
+
 @main.command()
 @click.pass_context
 @handle_errors
@@ -519,28 +533,20 @@ def report(ctx):
     grid, weights, data = _closed_loop(cfg, dataset, params)
     ctrl = build_lfr(params, fs)
 
-    lines = ["p,omega,hz,mag,phase_deg"]
-    for p in data:
-        g = dataset.response(p, "G").values
-        for om, hz, v in zip(grid.omegas, grid.hz, g):
-            lines.append(f"{p:g},{om!r},{hz!r},{abs(v)!r},{math.degrees(np.angle(v))!r}")
-    (out / "report_plant_frf.csv").write_text("\n".join(lines) + "\n")
+    def polar(values):
+        return grid.omegas, grid.hz, np.abs(values), np.degrees(np.angle(values))
 
-    lines = ["p,channel,omega,hz,mag,bound"]
-    for p, block in data.items():
-        for c in CHANNELS:
-            mag = np.abs(block.numerator(c) / block.d_p)
-            bound = gamma / np.abs(weights[c])
-            for om, hz, v, b in zip(grid.omegas, grid.hz, mag, bound):
-                lines.append(f"{p:g},{c},{om!r},{hz!r},{v!r},{b!r}")
-    (out / "report_fourblock.csv").write_text("\n".join(lines) + "\n")
-
-    lines = ["p,omega,hz,mag,phase_deg"]
-    for p in data:
-        resp = frozen_controller_frf(ctrl, p, grid).values
-        for om, hz, v in zip(grid.omegas, grid.hz, resp):
-            lines.append(f"{p:g},{om!r},{hz!r},{abs(v)!r},{math.degrees(np.angle(v))!r}")
-    (out / "report_controller_frf.csv").write_text("\n".join(lines) + "\n")
+    _write_table(out / "report_plant_frf.csv", "p,omega,hz,mag,phase_deg",
+                 [((f"{p:g}",), polar(dataset.response(p, "G").values))
+                  for p in data])
+    _write_table(out / "report_fourblock.csv", "p,channel,omega,hz,mag,bound",
+                 [((f"{p:g}", c), (grid.omegas, grid.hz,
+                                   np.abs(block.numerator(c) / block.d_p),
+                                   gamma / np.abs(weights[c])))
+                  for p, block in data.items() for c in CHANNELS])
+    _write_table(out / "report_controller_frf.csv", "p,omega,hz,mag,phase_deg",
+                 [((f"{p:g}",), polar(frozen_controller_frf(ctrl, p, grid).values))
+                  for p in data])
     click.echo(f"wrote report tables to {out}")
 
 

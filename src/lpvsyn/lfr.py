@@ -5,7 +5,9 @@ D_K^{-1} is realized by algebraic feedback of the D bank output around its
 unity feedthrough (valid because the normalization pins v_0(p) = 1), and the
 controller is the series connection D_K^{-1} followed by N_K: both banks are
 driven by the same inner signal, so the scheduling enters only through the
-output weights.
+output weights.  ``frozen_lfr_matrices`` is the one statement of that
+realization: its (A_K, B_K, C_K, D_K)(p) give the frozen frequency response
+and, one sample at a time, the scheduled closed-loop simulation.
 """
 from __future__ import annotations
 
@@ -49,31 +51,33 @@ def build_lfr(params: ControllerParameters, sample_rate: float = 1.0) -> LfrCont
     return LfrController(bank_n.a, bank_n.b, bank_d.a, bank_d.b, params, sample_rate)
 
 
-def frozen_lfr_matrices(ctrl: LfrController, p: float):
-    """Frozen controller state-space (A, B, C, D) at operating point p."""
+def frozen_lfr_matrices(ctrl: LfrController, p):
+    """Frozen controller state-space (A, B, C, D) at operating point p.
+
+    For an array of k operating points A is (k, n, n), C is (k, n) and D is
+    (k,); B does not depend on p.
+    """
     params = ctrl.params
-    psi = scheduling_eval(params.sched, p)
-    w = params.wbar @ psi
-    v = params.vbar @ psi
+    psi = scheduling_eval(params.sched, p)[..., None]
+    w = (params.wbar @ psi)[..., 0]
+    vt = (params.vbar @ psi)[..., 1:, 0]
     n_n = ctrl.a_n.shape[0]
-    n_d = ctrl.a_d.shape[0]
-    vt = v[1:]
-    a = np.zeros((n_n + n_d, n_n + n_d))
-    a[:n_n, :n_n] = ctrl.a_n
-    a[:n_n, n_n:] = -np.outer(ctrl.b_n, vt)
-    a[n_n:, n_n:] = ctrl.a_d - np.outer(ctrl.b_d, vt)
+    n = n_n + ctrl.a_d.shape[0]
+    a = np.zeros(vt.shape[:-1] + (n, n))
+    a[..., :n_n, :n_n] = ctrl.a_n
+    a[..., :n_n, n_n:] = -(ctrl.b_n[:, None] * vt[..., None, :])
+    a[..., n_n:, n_n:] = ctrl.a_d - ctrl.b_d[:, None] * vt[..., None, :]
     b = np.concatenate([ctrl.b_n, ctrl.b_d])
-    c = np.concatenate([w[1:], -w[0] * vt])
-    return a, b, c, float(w[0])
+    c = np.concatenate([w[..., 1:], -w[..., :1] * vt], axis=-1)
+    d = w[..., 0]
+    return a, b, c, (float(d) if d.ndim == 0 else d)
 
 
 def frozen_controller_frf(ctrl: LfrController, p: float,
                           grid: FrequencyGrid) -> FrfResponse:
     """Resolvent evaluation of the frozen LFR on the grid."""
-    a, b, c, d = frozen_lfr_matrices(ctrl, p)
-    if a.size == 0:
-        return FrfResponse(np.full(len(grid), d, dtype=complex), grid)
-    return FrfResponse(statespace_response(a, b, c, d, grid.z), grid)
+    return FrfResponse(statespace_response(*frozen_lfr_matrices(ctrl, p), grid.z),
+                       grid)
 
 
 def simulate_closed_loop(model: LpvSurrogateModel, ctrl: LfrController,
@@ -83,13 +87,13 @@ def simulate_closed_loop(model: LpvSurrogateModel, ctrl: LfrController,
 
     The controller state and output use the current scheduling sample; the
     plant output is strictly causal in u, so there is no algebraic loop.
-    The loop runs as one lifted recursion over z = [x; x_N; x_D] (plant, N
-    bank, D bank).  With the inner signal v = e - v~(p) x_D = r - L z, where
-    L = [c, 0, v~(p)], and B_v = [b w_0(p); b_N; b_D]:
+    The loop is the feedback interconnection of the plant (A(p), b, c) and
+    the frozen LFR (A_K, B_K, C_K, D_K)(p_k) of ``frozen_lfr_matrices``, run
+    as one lifted recursion over z = [x; x_K]:
 
-        z_{k+1} = (blkdiag(A(p), A_N, A_D) - B_v L + b [0, w~(p), 0]) z_k
-                  + B_v r_k + [b d_k; 0; 0],
-        u_k = w_0(p) (r_k - L z_k) + w~(p) x_N,k.
+        z_{k+1} = [[A(p) - b D_K c, b C_K], [-B_K c, A_K]] z_k
+                  + [b (D_K r_k + d_k); B_K r_k],
+        u_k = C_K x_K,k + D_K e_k.
 
     Raises SimulationDivergedError with the index of the first sample whose
     output is not finite or exceeds OVERFLOW_LIMIT in magnitude.
@@ -99,53 +103,34 @@ def simulate_closed_loop(model: LpvSurrogateModel, ctrl: LfrController,
         raise ValueError("reference, scheduling and disturbance lengths differ")
     model.check_in_range(scheduling.samples)
     r, p, d = reference.samples, scheduling.samples, disturbance.samples
-    params = ctrl.params
-    lo_p, hi_p = params.sched.p_range
-    nx, n_n = model.state_dim, ctrl.a_n.shape[0]
-    xn = slice(nx, nx + n_n)
-    xd = slice(nx + n_n, nx + n_n + ctrl.a_d.shape[0])
-    nz = xd.stop
-    base = np.zeros((nz, nz))
-    base[xn, xn] = ctrl.a_n
-    base[xd, xd] = ctrl.a_d
-
-    def weights(lo, hi):
-        """w_0, [0, w~, 0] and L at samples lo..hi-1."""
-        pt = (p[lo:hi] - 0.5 * (hi_p + lo_p)) / (0.5 * (hi_p - lo_p))
-        psi = np.vander(pt, params.sched.m, increasing=True)
-        w = psi @ params.wbar.T
-        lift_w = np.zeros((hi - lo, nz))
-        lift_w[:, xn] = w[:, 1:]
-        lift_l = np.zeros((hi - lo, nz))
-        lift_l[:, :nx] = model.c
-        lift_l[:, xd] = psi @ params.vbar[1:].T
-        return w[:, 0], lift_w, lift_l
+    nx = model.state_dim
+    nz = nx + ctrl.state_dim
+    gains = {}  # lo -> (C_K, D_K) of the block, read back with its states
 
     def chunk(lo, hi):
-        w0, lift_w, lift_l = weights(lo, hi)
-        b_v = np.empty((hi - lo, nz))
-        b_v[:, :nx] = np.outer(w0, model.b)
-        b_v[:, xn] = ctrl.b_n
-        b_v[:, xd] = ctrl.b_d
-        a_cl = np.tile(base, (hi - lo, 1, 1))
-        a_cl[:, :nx, :nx] = model.a0 + p[lo:hi, None, None] * model.a1
-        a_cl -= b_v[:, :, None] * lift_l[:, None, :]
-        a_cl[:, :nx] += model.b[None, :, None] * lift_w[:, None, :]
-        f = b_v * r[lo:hi, None]
-        f[:, :nx] += np.outer(d[lo:hi], model.b)
+        a_k, b_k, c_k, d_k = frozen_lfr_matrices(ctrl, p[lo:hi])
+        gains[lo] = c_k, d_k
+        a_cl = np.empty((hi - lo, nz, nz))
+        a_cl[:, :nx, :nx] = (model.a0 + p[lo:hi, None, None] * model.a1
+                             - d_k[:, None, None] * np.outer(model.b, model.c))
+        a_cl[:, :nx, nx:] = model.b[:, None] * c_k[:, None, :]
+        a_cl[:, nx:, :nx] = -np.outer(b_k, model.c)
+        a_cl[:, nx:, nx:] = a_k
+        f = np.empty((hi - lo, nz))
+        f[:, :nx] = np.outer(d_k * r[lo:hi] + d[lo:hi], model.b)
+        f[:, nx:] = np.outer(r[lo:hi], b_k)
         return a_cl, f
 
     e, u, y = np.empty(n), np.empty(n), np.empty(n)
     with np.errstate(over="ignore", invalid="ignore"):
         for lo, hi, zs in _kernels.lifted_states(n, nz, chunk):
+            c_k, d_k = gains.pop(lo)
             y[lo:hi] = np.einsum("ki,i->k", zs[:, :nx], model.c)
             bad = _kernels.first_bad_index(y[lo:hi], OVERFLOW_LIMIT)
             if bad >= 0:
                 raise SimulationDivergedError("closed loop diverged", lo + bad)
             e[lo:hi] = r[lo:hi] - y[lo:hi]
-            w0, lift_w, lift_l = weights(lo, hi)
-            u[lo:hi] = w0 * r[lo:hi] + np.einsum(
-                "ki,ki->k", lift_w - w0[:, None] * lift_l, zs)
+            u[lo:hi] = np.einsum("ki,ki->k", c_k, zs[:, nx:]) + d_k * e[lo:hi]
     return Trace(r, e, u, d, y, p, model.sample_rate, model.scheduling_range)
 
 

@@ -15,6 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from .frfdata import FrequencyGrid
+from .rational import statespace_response
 
 POLE_MARGIN = 1e-9
 
@@ -146,14 +147,11 @@ class BasisBankRealization:
         return self.a.shape[0]
 
     def response(self, z: np.ndarray) -> np.ndarray:
-        """(n+1, len(z)) bank response by resolvent evaluation."""
-        z = np.asarray(z, dtype=complex).ravel()
-        out = np.empty((self.state_dim + 1, z.size), dtype=complex)
-        out[0] = 1.0
-        eye = np.eye(self.state_dim)
-        for k, zk in enumerate(z):
-            out[1:, k] = np.linalg.solve(zk * eye - self.a, self.b)
-        return out
+        """(n+1, len(z)) bank response: the resolvent with c = [0; I],
+        d = [1; 0]."""
+        n = self.state_dim
+        return statespace_response(self.a, self.b, np.eye(n + 1, n, -1),
+                                   np.eye(n + 1)[0], np.ravel(z))
 
 
 def realize_bank(basis: ObfBasis) -> BasisBankRealization:
@@ -272,16 +270,16 @@ class SchedulingBasis:
         return (2.0 * p - (lo + hi)) / (hi - lo)
 
 
-def scheduling_eval(basis: SchedulingBasis, p: float) -> np.ndarray:
-    """[psi_1(p), ..., psi_m(p)] = [1, ptilde, ptilde^2, ...]."""
+def scheduling_eval(basis: SchedulingBasis, p) -> np.ndarray:
+    """[psi_1(p), ..., psi_m(p)] = [1, ptilde, ptilde^2, ...]; for an array
+    of operating points, one such row per point."""
     lo, hi = basis.p_range
-    if p < lo - 1e-12 or p > hi + 1e-12:
-        raise ValueError(f"operating point {p} outside range [{lo}, {hi}]")
-    pt = basis.rescale(p)
-    out = np.ones(basis.m)
-    for l in range(1, basis.m):
-        out[l] = out[l - 1] * pt
-    return out
+    p = np.asarray(p, dtype=float)
+    outside = (p < lo - 1e-12) | (p > hi + 1e-12)
+    if outside.any():
+        raise ValueError(f"operating point {p[outside].flat[0]} outside range [{lo}, {hi}]")
+    return np.vander(np.ravel(basis.rescale(p)), basis.m,
+                     increasing=True).reshape(p.shape + (basis.m,))
 
 
 # ---------------------------------------------------------------------------

@@ -180,17 +180,20 @@ def statespace_tf(a, b, c, d=0.0, sample_rate: float = 1.0) -> RationalTf:
 
 
 def statespace_response(a, b, c, d, z: np.ndarray) -> np.ndarray:
-    """Resolvent evaluation C (zI - A)^{-1} B + D, one linear solve per point."""
+    """Resolvent evaluation C (zI - A)^{-1} B + D at every point of z, as one
+    batched linear solve over the stack of (zI - A).
+
+    A 1-D c gives an array shaped like z; a c with several rows gives one
+    response row per output, each shaped like z, with d a scalar or one
+    feedthrough per row.  An empty A gives D everywhere.
+    """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.asarray(b, dtype=float).reshape(-1, 1)
-    c = np.asarray(c, dtype=float).reshape(1, -1)
-    n = a.shape[0]
+    c = np.asarray(c, dtype=float)
     z = np.asarray(z, dtype=complex)
-    out = np.empty(z.shape, dtype=complex)
-    eye = np.eye(n)
-    for k, zk in enumerate(z.ravel()):
-        out.ravel()[k] = (c @ np.linalg.solve(zk * eye - a, b))[0, 0] + d
-    return out
+    x = np.linalg.solve(z.reshape(-1, 1, 1) * np.eye(a.shape[0]) - a, b)
+    out = (np.atleast_2d(c) @ x)[..., 0] + d
+    return out.T.reshape(c.shape[:-1] + z.shape)
 
 
 def closed_loop_char_poly(g: RationalTf, k: RationalTf) -> np.ndarray:

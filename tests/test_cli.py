@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -66,6 +67,12 @@ class TestPipeline:
         assert (out / "controller.json").exists()
         assert "margins" in payload and "telemetry" in payload
 
+    def test_synthesis_result_omits_run_counters(self, pipeline):
+        # the LP count depends on the search path, not on gamma and theta
+        _, out = pipeline
+        telemetry = json.loads((out / "synthesis_result.json").read_text())["telemetry"]
+        assert "lp_solves" not in telemetry and "wall_time_s" not in telemetry
+
     def test_estimate_reproduces_dataset(self, pipeline):
         cfg_path, out = pipeline
         before = (out / "dataset.csv").read_bytes()
@@ -104,9 +111,13 @@ class TestPipeline:
                 assert key in m
         res = run("--config", cfg_path, "report")
         assert res.exit_code == 0, res.output
-        for name in ("report_plant_frf.csv", "report_fourblock.csv",
-                     "report_controller_frf.csv"):
-            assert (out / name).exists()
+        # every numeric column parses as a plain float
+        for name, cols in (("report_plant_frf.csv", (0, 1, 2, 3, 4)),
+                           ("report_fourblock.csv", (0, 2, 3, 4, 5)),
+                           ("report_controller_frf.csv", (0, 1, 2, 3, 4))):
+            table = np.loadtxt(out / name, delimiter=",", skiprows=1,
+                               usecols=cols, ndmin=2)
+            assert table.shape[0] > 0 and np.all(np.isfinite(table))
 
     def test_lti_mode_flag(self, pipeline, tmp_path_factory):
         tmp_path = tmp_path_factory.mktemp("lti")

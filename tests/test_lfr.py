@@ -32,6 +32,22 @@ class TestBuildLfr:
         resp = frozen_controller_frf(ctrl, 40.0, grid)
         assert np.allclose(resp.values, 2.5)
 
+    def test_frozen_matrices_on_array_equal_scalar_calls(self):
+        rng = np.random.default_rng(3)
+        sched = SchedulingBasis.polynomial(2, (30.0, 50.0))
+        layout = ParameterLayout(laguerre_basis(0.5, 4), laguerre_basis(0.6, 3),
+                                 sched)
+        theta = rng.standard_normal(layout.size)
+        ctrl = build_lfr(layout.unpack(theta))
+        ps = rng.uniform(30.0, 50.0, 64)
+        a, b, c, d = frozen_lfr_matrices(ctrl, ps)
+        assert a.shape == (64, 7, 7) and c.shape == (64, 7) and d.shape == (64,)
+        for k, p in enumerate(ps):
+            ak, bk, ck, dk = frozen_lfr_matrices(ctrl, float(p))
+            assert isinstance(dk, float)
+            assert np.array_equal(a[k], ak) and np.array_equal(b, bk)
+            assert np.array_equal(c[k], ck) and d[k] == dk
+
     def test_reference_configuration_state_count(self, small_lpv_result, model):
         ctrl = build_lfr(small_lpv_result.theta, model.sample_rate)
         assert ctrl.state_dim == 10

@@ -132,6 +132,24 @@ class TestSchedulingBasis:
         with pytest.raises(ValueError):
             scheduling_eval(sb, 51.0)
 
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    def test_array_rows_equal_scalar_calls(self, m):
+        sb = SchedulingBasis(m, (30.0, 50.0))
+        ps = np.random.default_rng(m).uniform(30.0, 50.0, 257)
+        rows = scheduling_eval(sb, ps)
+        assert np.array_equal(rows, np.stack([scheduling_eval(sb, float(p))
+                                              for p in ps]))
+        # the running products of the monomials, bit for bit
+        want = np.ones((ps.size, m))
+        for l in range(1, m):
+            want[:, l] = want[:, l - 1] * sb.rescale(ps)
+        assert np.array_equal(rows, want)
+
+    def test_array_names_first_out_of_range_value(self):
+        sb = SchedulingBasis.affine((30.0, 50.0))
+        with pytest.raises(ValueError, match="operating point 52.5 outside"):
+            scheduling_eval(sb, np.array([31.0, 52.5, 29.0, 60.0]))
+
 
 class TestClusterPoles:
     def test_identical_samples_collapse(self):

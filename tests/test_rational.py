@@ -72,6 +72,25 @@ def test_statespace_tf_matches_eigenvalues_and_resolvent():
                        atol=1e-10)
 
 
+def test_statespace_response_of_empty_state_is_feedthrough():
+    z = np.exp(1j * np.linspace(0.1, 3.0, 5))
+    out = statespace_response(np.zeros((0, 0)), np.zeros(0), np.zeros(0), 2.5, z)
+    assert out.shape == z.shape
+    assert np.array_equal(out, np.full(z.shape, 2.5 + 0j))
+
+
+def test_statespace_response_rows_match_single_output():
+    rng = np.random.default_rng(4)
+    a = 0.3 * rng.standard_normal((4, 4))
+    b, c, d = rng.standard_normal(4), rng.standard_normal((3, 4)), rng.standard_normal(3)
+    z = np.exp(1j * np.linspace(0.1, 3.0, 7))
+    out = statespace_response(a, b, c, d, z)
+    assert out.shape == (3, 7)
+    for row in range(3):
+        assert np.allclose(out[row], statespace_response(a, b, c[row], d[row], z),
+                           rtol=1e-14, atol=0)
+
+
 def test_internal_stability_examples():
     g = RationalTf([1.0], [1.0, -2.0])
     assert internally_stable(g, RationalTf.constant(2.0))
