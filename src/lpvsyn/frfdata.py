@@ -34,6 +34,8 @@ class FrequencyGrid:
         om = np.asarray(self.omegas, dtype=float)
         if om.ndim != 1 or om.size == 0:
             raise ValueError("frequency grid must be a non-empty 1-d array")
+        if not np.all(np.isfinite(om)):
+            raise ValueError("frequencies must be finite")
         if np.any(np.diff(om) <= 0):
             raise ValueError("frequencies must be strictly increasing")
         if om[0] < 0.0 or om[-1] > math.pi + 1e-12:
@@ -73,6 +75,8 @@ class SchedulingGrid:
         lo, hi = float(self.range[0]), float(self.range[1])
         if pts.size == 0:
             raise ValueError("scheduling grid must be non-empty")
+        if not (np.all(np.isfinite(pts)) and math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError("operating points and scheduling range must be finite")
         if np.unique(pts).size != pts.size:
             raise ValueError("operating points must be distinct")
         if lo > hi or np.any(pts < lo) or np.any(pts > hi):
@@ -239,6 +243,8 @@ def load_dataset(path, sample_rate: float | None = None,
 
     blocks: dict = {}
     for ch, p, om, re, im in rows:
+        if not math.isfinite(p):  # NaN keys would split one block per row
+            raise DataFormatError(f"operating point {p} is not finite", location=str(path))
         blocks.setdefault((p, ch), []).append((om, complex(re, im)))
 
     first_key = next(iter(blocks))
@@ -255,7 +261,7 @@ def load_dataset(path, sample_rate: float | None = None,
     entries = {}
     for key, block in blocks.items():
         oms = [om for om, _ in block]
-        if len(oms) != len(ref) or not np.allclose(oms, ref, rtol=0, atol=0):
+        if not np.array_equal(oms, ref):
             raise DataFormatError(
                 f"block {key} uses a different frequency grid than {first_key}",
                 location=str(path))

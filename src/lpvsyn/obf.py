@@ -2,9 +2,13 @@
 
 The transfer-function basis is generated by a stable pole sequence: each real
 pole contributes a first-order inner section, each conjugate pair a
-second-order one, and the basis functions are the state transfer functions of
-the balanced all-pass cascade (Laguerre functions when one real pole repeats).
-The constant function is always included as index 0.
+second-order one (``_section_matrices``).  ``realize_bank`` puts the balanced
+sections in series; the basis functions are by definition the state transfer
+functions of that all-pass cascade (Laguerre functions when one real pole
+repeats), and the constant function is always included as index 0.  The
+cascade is the only statement of the basis: grid values are its resolvent
+(``eval_basis_at``) and rational forms its state-space transfer functions
+(``synthesis.factor_rationals``).
 """
 from __future__ import annotations
 
@@ -69,8 +73,8 @@ class ObfBasis:
 
     def __post_init__(self):
         poles = np.atleast_1d(np.asarray(self.poles, dtype=complex))
-        if poles.size and np.max(np.abs(poles)) >= 1.0 - POLE_MARGIN:
-            raise ValueError("basis poles must have modulus < 1 - 1e-9")
+        if not np.all(np.abs(poles) < 1.0 - POLE_MARGIN):
+            raise ValueError("basis poles must be finite with modulus < 1 - 1e-9")
         object.__setattr__(self, "poles", poles)
         object.__setattr__(self, "_sections", _group_sections(poles))
         poles.flags.writeable = False
@@ -95,35 +99,9 @@ def laguerre_basis(a: float, n: int) -> ObfBasis:
 
 
 def eval_basis_at(basis: ObfBasis, z: np.ndarray) -> np.ndarray:
-    """(n+1, len(z)) matrix of basis values, row 0 identically one.
-
-    Uses per-section analytic resolvents and the accumulated inner-function
-    product, independent of the stacked bank realization.
-    """
-    z = np.asarray(z, dtype=complex).ravel()
-    out = np.empty((basis.size, z.size), dtype=complex)
-    out[0] = 1.0
-    blaschke = np.ones_like(z)
-    row = 1
-    for section in basis._sections:
-        if len(section) == 1:
-            a = section[0].real if isinstance(section[0], complex) else section[0]
-            r = math.sqrt(1.0 - a * a)
-            out[row] = blaschke * r / (z - a)
-            row += 1
-            blaschke = blaschke * (1.0 - a * z) / (z - a)
-        else:
-            a_s, b_s, _, _ = _section_matrices(section)
-            det = (z - a_s[0, 0]) * (z - a_s[1, 1]) - a_s[0, 1] * a_s[1, 0]
-            v0 = ((z - a_s[1, 1]) * b_s[0] + a_s[0, 1] * b_s[1]) / det
-            v1 = (a_s[1, 0] * b_s[0] + (z - a_s[0, 0]) * b_s[1]) / det
-            out[row] = blaschke * v0
-            out[row + 1] = blaschke * v1
-            row += 2
-            xi = section[0]
-            c1, c2 = -2.0 * xi.real, abs(xi) ** 2
-            blaschke = blaschke * (c2 * z * z + c1 * z + 1.0) / (z * z + c1 * z + c2)
-    return out
+    """(n+1, len(z)) matrix of basis values, row 0 identically one: the
+    response of the bank realization at the points z."""
+    return realize_bank(basis).response(z)
 
 
 def eval_basis(basis: ObfBasis, grid: FrequencyGrid) -> np.ndarray:
@@ -175,55 +153,6 @@ def realize_bank(basis: ObfBasis) -> BasisBankRealization:
         gain = d_s * gain
         row += k
     return BasisBankRealization(a, b)
-
-
-def basis_rational(basis: ObfBasis):
-    """Numerator polynomials of each phi_i over the common denominator.
-
-    Returns (numerators, den): ``numerators[i]`` (descending powers, length
-    n+1) for i = 0..n with numerators[0] = den, so phi_i = numerators[i]/den.
-    """
-    n = basis.n
-    den = np.array([1.0])
-    for xi in basis.poles:
-        den = np.convolve(den, [1.0, -xi])
-    den = den.real
-    nums = [den.copy()]
-    prefix = np.array([1.0])  # product of inner numerators before the section
-    sections = basis._sections
-    sec_dens = []
-    sec_inner_nums = []
-    for section in sections:
-        if len(section) == 1:
-            a = section[0].real if isinstance(section[0], complex) else section[0]
-            sec_dens.append(np.array([1.0, -a]))
-            sec_inner_nums.append(np.array([-a, 1.0]))
-        else:
-            xi = section[0]
-            c1, c2 = -2.0 * xi.real, abs(xi) ** 2
-            sec_dens.append(np.array([1.0, c1, c2]))
-            sec_inner_nums.append(np.array([c2, c1, 1.0]))
-    for s, section in enumerate(sections):
-        tail = np.array([1.0])
-        for later in sec_dens[s + 1:]:
-            tail = np.convolve(tail, later)
-        a_s, b_s, _, _ = _section_matrices(section)
-        k = a_s.shape[0]
-        if k == 1:
-            rows = [np.array([b_s[0]])]
-        else:
-            # adj(zI - A) B rows: degree-1 polynomials
-            rows = [
-                np.array([b_s[0], -a_s[1, 1] * b_s[0] + a_s[0, 1] * b_s[1]]),
-                np.array([b_s[1], a_s[1, 0] * b_s[0] - a_s[0, 0] * b_s[1]]),
-            ]
-        for r in rows:
-            num = np.convolve(np.convolve(prefix, r), tail)
-            padded = np.zeros(n + 1)
-            padded[n + 1 - num.size:] = num.real
-            nums.append(padded)
-        prefix = np.convolve(prefix, sec_inner_nums[s])
-    return nums, den
 
 
 # ---------------------------------------------------------------------------

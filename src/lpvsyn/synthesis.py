@@ -46,9 +46,9 @@ from .exceptions import (CutRoundsExhaustedError, SolverFailureError,
                          SynthesisInfeasibleError)
 from .factorization import CHANNELS, CoprimeFrfPair, assemble_closed_loop
 from .frfdata import FrequencyGrid, FrfResponse, SchedulingGrid
-from .obf import (ObfBasis, SchedulingBasis, basis_rational, eval_basis, eval_basis_at,
+from .obf import (ObfBasis, SchedulingBasis, eval_basis, eval_basis_at, realize_bank,
                   scheduling_eval)
-from .rational import RationalTf
+from .rational import RationalTf, statespace_tf
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,19 +166,13 @@ def evaluate_factors(params: ControllerParameters, p: float, grid: FrequencyGrid
 
 
 def factor_rationals(params: ControllerParameters, p: float):
-    """Frozen (N_K, D_K) as rational transfer functions at operating point p."""
+    """Frozen (N_K, D_K) as rational transfer functions at operating point p:
+    each factor is the bank realization of its basis read out through the
+    coefficients ``wbar @ psi`` or ``vbar @ psi`` (phi_0 as feedthrough)."""
     psi = scheduling_eval(params.sched, p)
-    nums_n, den_n = basis_rational(params.basis_n)
-    nums_d, den_d = basis_rational(params.basis_d)
-    w = params.wbar @ psi
-    v = params.vbar @ psi
-    num_n = np.zeros(den_n.size)
-    for wi, ni in zip(w, nums_n):
-        num_n[den_n.size - ni.size:] += wi * ni
-    num_d = np.zeros(den_d.size)
-    for vi, ni in zip(v, nums_d):
-        num_d[den_d.size - ni.size:] += vi * ni
-    return (RationalTf(num_n, den_n), RationalTf(num_d, den_d))
+    return tuple(statespace_tf(bank.a, bank.b, coef[1:], coef[0])
+                 for bank, coef in ((realize_bank(params.basis_n), params.wbar @ psi),
+                                    (realize_bank(params.basis_d), params.vbar @ psi)))
 
 
 def frozen_controller_tf(params: ControllerParameters, p: float,

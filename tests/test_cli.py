@@ -191,6 +191,18 @@ class TestErrors:
                   "--gamma", "2.0")
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("command", [("simulate",), ("analyze", "--gamma", "2.0")],
+                             ids=["simulate", "analyze"])
+    def test_nan_basis_pole_rejected(self, pipeline, tmp_path, command):
+        cfg_path, out = pipeline
+        ctrl = json.loads((out / "controller.json").read_text())
+        ctrl["basis_n_poles"][0] = [float("nan"), 0.0]
+        bad = tmp_path / "nan_pole.json"
+        bad.write_text(json.dumps(ctrl))
+        res = run("--config", cfg_path, command[0], str(bad), *command[1:])
+        assert res.exit_code == 2
+        assert "basis poles must be finite" in res.output
+
     def test_malformed_weights(self, pipeline, tmp_path):
         cfg_path, out = pipeline
         cfg = tiny_config(out)

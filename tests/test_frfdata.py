@@ -39,6 +39,21 @@ class TestGridTypes:
         with pytest.raises(ValueError):
             FrequencyGrid(np.array([]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_frequencies_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            FrequencyGrid(np.array([0.1, bad, 0.3]))
+
+    @pytest.mark.parametrize("points, rng", [
+        ([30.0, np.nan], (30.0, 50.0)),
+        ([np.nan], (30.0, 50.0)),
+        ([40.0], (30.0, np.inf)),
+        ([40.0], (np.nan, 50.0)),
+    ])
+    def test_non_finite_scheduling_rejected(self, points, rng):
+        with pytest.raises(ValueError, match="finite"):
+            SchedulingGrid(np.array(points), rng)
+
     def test_hz_display(self):
         g = FrequencyGrid(np.array([math.pi / 2]), sample_rate=200.0)
         assert g.hz[0] == pytest.approx(50.0)
@@ -117,6 +132,22 @@ class TestDatasetIO:
             w.writerow(["G", 40.0, 0.1, 1.0, 0.0])
             w.writerow(["G", 40.0, 0.3, 1.0, 0.0])
         with pytest.raises(DataFormatError, match="different frequency grid"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("p, omega, message", [
+        (30.0, "nan", "frequencies must be finite"),
+        ("nan", 0.2, "operating point nan is not finite"),
+    ])
+    def test_nan_grid_value_rejected(self, tmp_path, p, omega, message):
+        # NaN passes every comparison, so only a finiteness check names it
+        path = tmp_path / "bad.csv"
+        with open(path, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["channel", "p", "omega", "re", "im"])
+            for point in (p, 40.0):
+                w.writerow(["G", point, 0.1, 1.0, 0.0])
+                w.writerow(["G", point, omega, 1.0, 0.0])
+        with pytest.raises(DataFormatError, match=message):
             load_dataset(path)
 
     def test_non_monotone_frequencies(self, tmp_path):

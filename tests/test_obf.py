@@ -1,14 +1,39 @@
 import numpy as np
 import pytest
 
-from lpvsyn import (FrequencyGrid, ObfBasis, SchedulingBasis, cluster_poles,
-                    eval_basis, eval_basis_at, laguerre_basis, realize_bank,
-                    scheduling_eval)
-from lpvsyn.obf import basis_rational
+from lpvsyn import (ControllerParameters, FrequencyGrid, ObfBasis, SchedulingBasis,
+                    cluster_poles, eval_basis, eval_basis_at, factor_rationals,
+                    laguerre_basis, realize_bank, scheduling_eval)
+from lpvsyn.obf import _section_matrices
 
 
 def unit_circle(n):
     return np.exp(2j * np.pi * np.arange(n) / n)
+
+
+def closed_form_basis(basis, z):
+    """Oracle: per-section analytic resolvents times the running product of
+    the inner functions of the sections before them."""
+    z = np.asarray(z, dtype=complex).ravel()
+    out = np.empty((basis.size, z.size), dtype=complex)
+    out[0] = 1.0
+    blaschke = np.ones_like(z)
+    row = 1
+    for section in basis._sections:
+        if len(section) == 1:
+            a = section[0]
+            out[row] = blaschke * np.sqrt(1.0 - a * a) / (z - a)
+            row += 1
+            blaschke = blaschke * (1.0 - a * z) / (z - a)
+        else:
+            a_s, b_s, _, _ = _section_matrices(section)
+            det = (z - a_s[0, 0]) * (z - a_s[1, 1]) - a_s[0, 1] * a_s[1, 0]
+            out[row] = blaschke * ((z - a_s[1, 1]) * b_s[0] + a_s[0, 1] * b_s[1]) / det
+            out[row + 1] = blaschke * (a_s[1, 0] * b_s[0] + (z - a_s[0, 0]) * b_s[1]) / det
+            row += 2
+            c1, c2 = -2.0 * section[0].real, abs(section[0]) ** 2
+            blaschke = blaschke * (c2 * z * z + c1 * z + 1.0) / (z * z + c1 * z + c2)
+    return out
 
 
 class TestLaguerre:
@@ -36,6 +61,13 @@ class TestLaguerre:
         with pytest.raises(ValueError):
             ObfBasis(np.array([0.5 + 0.9j, 0.5 - 0.9j]))  # modulus > 1
 
+    @pytest.mark.parametrize("pole", [np.nan, np.inf, complex(np.nan, 0.0)])
+    def test_non_finite_pole_rejected(self, pole):
+        with pytest.raises(ValueError, match="finite"):
+            ObfBasis([pole])
+        with pytest.raises(ValueError, match="finite"):
+            ObfBasis([0.5, pole])
+
     def test_conjugate_closure_required(self):
         with pytest.raises(ValueError, match="conjugate"):
             ObfBasis(np.array([0.3 + 0.4j]))
@@ -53,9 +85,10 @@ class TestEvalAndRealization:
     ])
     def test_matches_bank_realization(self, poles):
         basis = ObfBasis(poles)
-        bank = realize_bank(basis)
         z = np.exp(1j * np.linspace(0.05, 3.1, 33))
-        assert np.max(np.abs(bank.response(z) - eval_basis_at(basis, z))) < 1e-10
+        ev = eval_basis_at(basis, z)
+        assert np.array_equal(ev, realize_bank(basis).response(z))
+        assert np.max(np.abs(ev - closed_form_basis(basis, z))) < 1e-10
 
     def test_gram_matrix_is_identity(self):
         basis = ObfBasis(np.array([0.5, 0.2 + 0.6j, 0.2 - 0.6j], dtype=complex))
@@ -84,11 +117,16 @@ class TestEvalAndRealization:
             h[:, k] = x
             x = bank.a @ x + bank.b * u
             u = 0.0
-        # long division of the phi_1 rational form in powers of z^{-1};
-        # the padded numerator makes coeff[k] the impulse response at k
-        nums, den = basis_rational(basis)
+        # long division of phi_1 as the rational N_K of a controller whose
+        # numerator coefficients select phi_1; the padded numerator makes
+        # coeff[k] the impulse response at k
+        sched = SchedulingBasis.constant((30.0, 50.0))
+        params = ControllerParameters(np.array([[0.0], [1.0], [0.0]]),
+                                      np.array([[1.0]]), basis, ObfBasis([]), sched)
+        tf, _ = factor_rationals(params, 40.0)
+        den = tf.den
         coeff = np.zeros(n)
-        rem = np.concatenate([nums[1], np.zeros(n)])
+        rem = np.concatenate([np.zeros(den.size - tf.num.size), tf.num, np.zeros(n)])
         for k in range(n):
             c = rem[0] / den[0]
             coeff[k] = c
@@ -102,14 +140,6 @@ class TestEvalAndRealization:
     def test_bank_eigenvalues_equal_pole(self):
         bank = realize_bank(laguerre_basis(0.7, 5))
         assert np.allclose(np.linalg.eigvals(bank.a), 0.7)
-
-    def test_rational_forms_match_evaluation(self):
-        basis = laguerre_basis(0.7, 4)
-        nums, den = basis_rational(basis)
-        z = np.exp(1j * np.linspace(0.1, 3.0, 11))
-        ev = eval_basis_at(basis, z)
-        for i, num in enumerate(nums):
-            assert np.max(np.abs(np.polyval(num, z) / np.polyval(den, z) - ev[i])) < 1e-10
 
 
 class TestSchedulingBasis:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lpvsyn import (CHANNELS, ControllerParameters, FrequencyGrid, FrfResponse,
-                    CoprimeFrfPair, RationalTf, SchedulingBasis,
+                    CoprimeFrfPair, ObfBasis, RationalTf, SchedulingBasis,
                     SchedulingGrid, SynthesisOptions, SynthesisProblem,
                     WeightSet, add_integral_action, assemble_constraints,
                     bisect_gamma, closed_loop_data, evaluate_factors,
@@ -109,8 +109,12 @@ class TestEvaluateFactors:
         assert np.max(np.abs(nk - nk_ref)) < 1e-10
         assert np.max(np.abs(dk - dk_ref)) < 1e-10
 
-    def test_factor_rationals_match_grid_evaluation(self):
-        basis = laguerre_basis(0.6, 3)
+    @pytest.mark.parametrize("basis", [
+        laguerre_basis(0.6, 3),
+        ObfBasis(np.array([0.5, 0.6 + 0.5j, 0.6 - 0.5j, -0.3])),
+        ObfBasis([]),
+    ], ids=["laguerre", "complex", "empty"])
+    def test_factor_rationals_match_grid_evaluation(self, basis):
         sched = SchedulingBasis.affine((30.0, 50.0))
         layout = ParameterLayout(basis, basis, sched)
         rng = np.random.default_rng(3)
