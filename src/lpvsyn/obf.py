@@ -204,7 +204,7 @@ def scheduling_eval(basis: SchedulingBasis, p) -> np.ndarray:
     of operating points, one such row per point."""
     lo, hi = basis.p_range
     p = np.asarray(p, dtype=float)
-    outside = (p < lo - 1e-12) | (p > hi + 1e-12)
+    outside = ~((p >= lo - 1e-12) & (p <= hi + 1e-12))
     if outside.any():
         raise ValueError(f"operating point {p[outside].flat[0]} outside range [{lo}, {hi}]")
     return np.vander(np.ravel(basis.rescale(p)), basis.m,

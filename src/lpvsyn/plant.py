@@ -65,10 +65,10 @@ class LpvSurrogateModel:
     def check_in_range(self, p) -> None:
         lo, hi = self.scheduling_range
         p = np.asarray(p, dtype=float)
-        if np.any(p < lo - 1e-12) or np.any(p > hi + 1e-12):
+        outside = ~((p >= lo - 1e-12) & (p <= hi + 1e-12))
+        if outside.any():
             raise ValueError(
-                f"scheduling value outside range [{lo}, {hi}]: "
-                f"{float(np.atleast_1d(p)[np.argmax((p < lo) | (p > hi))])}")
+                f"scheduling value outside range [{lo}, {hi}]: {p[outside].flat[0]}")
 
 
 def load_surrogate(path) -> LpvSurrogateModel:

@@ -15,12 +15,13 @@ performance level.
 
 The LPs of one feasibility solve live in one HiGHS model (scipy's own
 binding): cuts are added as rows and each cut round hot-starts from the
-previous basis.  Inside the bisection a solve does not load the full fan
-of base planes: it starts from a small working set (a few evenly spaced
-frequencies of every fan block) plus the planes that were active in the
+previous basis.  No solve loads the full fan of base planes: each starts
+from a small working set (a few evenly spaced frequencies of every fan
+block), inside the bisection plus the planes that were active in the
 previous gamma's last optimal LP, rebuilt at the new gamma; any subset of
 tangent planes is still an outer relaxation, so the cuts keep every answer
-sound.  Another row set may end on another vertex of a degenerate LP
+sound, and the full fan is just the working set with ``WORKING_ROWS >=
+n_freq``.  Another row set may end on another vertex of a degenerate LP
 optimum, so once the bracket closes theta* is taken from one central solve
 at gamma*: a fresh working set without carried planes, each cut round solved
 from scratch by HiGHS's interior-point method without crossover, which stops
@@ -287,15 +288,6 @@ class ConstraintMap:
         n_abs = np.abs(self.apply(self.N, self.n0, rows, theta))
         return re_d - gamma_inv * n_abs - eps, re_d
 
-    def fan(self):
-        """(rows, cos, sin) of the base fan: one tangent plane per row and
-        angle of ``_BASE_ANGLES``, ordered by (p, channel), then angle, then
-        frequency.  Every plane bounds the disc from outside."""
-        blocks = np.arange(self.d0.size).reshape(-1, 1, self.n_freq)
-        fan = np.broadcast_arrays(blocks, np.cos(_BASE_ANGLES)[:, None],
-                                  np.sin(_BASE_ANGLES)[:, None])
-        return tuple(a.ravel() for a in fan)
-
     def tangent_rows(self, rows, cos, sin, scale: float, eps: float):
         """LP rows a theta <= b of the tangent half-planes
         Re{D theta + d0} - scale (cos Re + sin Im){N theta + n0} >= eps
@@ -386,7 +378,7 @@ class FeasibilityOutcome:
 
 
 # frequency rows taken from each (p, channel, angle) block of the base fan to
-# start a working-set solve; cuts add whatever else the solve needs
+# start every solve; cuts add whatever else the solve needs
 WORKING_ROWS = 8
 # as scipy's linprog(method="highs"): dual simplex (strategy 1), no logging
 _HIGHS_OPTIONS = (("output_flag", False), ("simplex_strategy", 1))
@@ -425,13 +417,16 @@ def _add_rows(model, a: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> Non
 
 
 def _working_set(cmap: ConstraintMap, carried) -> tuple:
-    """(rows, cos, sin) labels that start a working-set solve: ``WORKING_ROWS``
-    evenly spaced frequency rows of every base fan block, then the
-    ``carried`` labels not already among them."""
-    rows, cos, sin = cmap.fan()
+    """(rows, cos, sin) labels that start a solve: the planes at every angle
+    of ``_BASE_ANGLES`` on ``WORKING_ROWS`` evenly spaced frequency rows of
+    each (p, channel) block, ordered by block, angle, then frequency, then the
+    ``carried`` labels not already among them.  Every plane bounds its disc
+    from outside; with ``WORKING_ROWS >= n_freq`` this is the full base fan."""
     pick = np.unique(np.linspace(0, cmap.n_freq - 1, WORKING_ROWS).round().astype(int))
-    keep = (np.arange(0, rows.size, cmap.n_freq)[:, None] + pick).ravel()
-    labels = np.column_stack([rows[keep], cos[keep], sin[keep]])
+    starts = np.arange(0, cmap.d0.size, cmap.n_freq)[:, None, None]
+    base = np.broadcast_arrays(starts + pick, np.cos(_BASE_ANGLES)[:, None],
+                               np.sin(_BASE_ANGLES)[:, None])
+    labels = np.column_stack([a.ravel() for a in base])
     if carried is not None:
         labels = np.vstack([labels, np.column_stack(carried)])
         _, first = np.unique(labels, axis=0, return_index=True)
@@ -454,23 +449,19 @@ def feasibility_solve(constraints: tuple, equalities=None,
     failures raise, distinct from infeasibility; a cut loop that runs out
     of rounds raises ``CutRoundsExhaustedError``.
 
-    Without ``warm`` every LP is solved from scratch over the full fan of
-    base planes.  With it (a dict that ``bisect_gamma`` keeps across gamma
-    steps) the solve starts from the working set of ``_working_set`` and
-    ``warm["labels"]``, cut rounds hot-start from the previous basis, and
-    the (row, cos, sin) labels of the planes with a nonzero dual in each
-    optimal LP are stored back in ``warm["labels"]``.  ``_central`` (without
-    ``warm``) is the central solve of ``bisect_gamma``: the working set alone,
-    every LP solved from scratch by the interior-point method without
-    crossover.
+    Every solve starts from the planes of ``_working_set``.  Without
+    ``warm`` that is the working set alone, and nothing is stored.  With it
+    (a dict that ``bisect_gamma`` keeps across gamma steps) the labels in
+    ``warm["labels"]`` are added, and the (row, cos, sin) labels of the
+    planes with a nonzero dual in each optimal LP are stored back there.
+    Cut rounds hot-start from the previous basis, except under ``_central``,
+    the central solve of ``bisect_gamma`` (without ``warm``): there every LP
+    is solved from scratch by the interior-point method without crossover.
     """
     options = options or SynthesisOptions()
     cmap, gamma_inv, eps = constraints
     n_theta = cmap.D.shape[1]
-    if warm is not None:
-        labels = _working_set(cmap, warm.get("labels"))
-    else:
-        labels = _working_set(cmap, None) if _central else cmap.fan()
+    labels = _working_set(cmap, warm.get("labels") if warm else None)
     a_base, b_base = cmap.tangent_rows(*labels, gamma_inv, eps)
 
     # columns theta, then the margin t; maximize t.  Rows: equalities, the
@@ -491,7 +482,7 @@ def feasibility_solve(constraints: tuple, equalities=None,
     lp_solves = 0
     cuts_added = 0
     for _ in range(options.max_cut_rounds):
-        if warm is None:
+        if _central:
             model.clearSolver()
         res = linprog(model, A_ub=a_ub)
         lp_solves += 1

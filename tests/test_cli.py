@@ -263,6 +263,14 @@ class TestErrors:
         assert res.exit_code == 2
         assert message in res.output
 
+    def test_nan_operating_point_rejected(self, tmp_path):
+        # NaN passes a "p < lo or p > hi" test; the range check names it
+        cfg = tiny_config(tmp_path / "out")
+        cfg["experiment"]["operating_points"] = [30.0, 40.0, float("nan")]
+        res = run("--config", write_config(tmp_path, cfg), "generate")
+        assert res.exit_code == 2
+        assert "scheduling value outside range [30.0, 50.0]: nan" in res.output
+
     @pytest.mark.parametrize("override, message", [
         ({"experiment": {"n_sampels": 4096}}, "unknown config key experiment.n_sampels"),
         ({"synthesis": {"options": {"gamma_rtl": 0.1}}},

@@ -161,6 +161,8 @@ class TestSchedulingBasis:
         sb = SchedulingBasis.affine((30.0, 50.0))
         with pytest.raises(ValueError):
             scheduling_eval(sb, 51.0)
+        with pytest.raises(ValueError, match="operating point nan outside range"):
+            scheduling_eval(sb, np.array([30.0, 40.0, np.nan]))
 
     @pytest.mark.parametrize("m", [1, 2, 4])
     def test_array_rows_equal_scalar_calls(self, m):

@@ -49,6 +49,11 @@ class TestFrozenViews:
             frozen_tf(model, 29.0)
         with pytest.raises(ValueError):
             frozen_frf(model, 51.0, dense_grid(model.sample_rate, 8))
+        with pytest.raises(ValueError, match="outside range .*: nan"):
+            frozen_tf(model, float("nan"))
+        # the message names the first value outside the tolerance band
+        with pytest.raises(ValueError, match=r"outside range .*: 51\.0"):
+            model.check_in_range(np.array([50.0 + 1e-13, 51.0]))
 
     def test_frf_at_zero_equals_dc_gain(self, model):
         grid = FrequencyGrid(np.array([0.0, 0.1]), model.sample_rate)

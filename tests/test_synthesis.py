@@ -241,9 +241,24 @@ class TestFeasibility:
         assert isinstance(err.value, CutRoundsExhaustedError)
         assert err.value.lp_solves == 1
 
-    def test_carried_labels_decide_as_the_full_fan(self):
+    def test_full_working_set_is_the_base_fan(self, monkeypatch):
+        # with WORKING_ROWS >= n_freq the working set holds every (row, angle)
+        # of the base fan once, ordered by block, then angle, then frequency
+        problem = unstable_plant_problem(np.linspace(0.05, 3.0, 16))
+        cmap = synthesis.constraint_map(problem)
+        fan = [(block + k, angle)
+               for block in range(0, cmap.d0.size, cmap.n_freq)
+               for angle in synthesis._BASE_ANGLES for k in range(cmap.n_freq)]
+        for working_rows in (cmap.n_freq, cmap.n_freq + 5):
+            monkeypatch.setattr(synthesis, "WORKING_ROWS", working_rows)
+            rows, cos, sin = synthesis._working_set(cmap, None)
+            assert rows.tolist() == [r for r, _ in fan]
+            assert np.array_equal(cos, np.cos([a for _, a in fan]))
+            assert np.array_equal(sin, np.sin([a for _, a in fan]))
+
+    def test_carried_labels_decide_as_the_full_fan(self, monkeypatch):
         # the active planes of a solve at gamma = 3 are rebuilt at gamma = 5
-        # on top of the working set; the answer is the cold full fan's
+        # on top of the working set; the answer is the full fan's
         problem = unstable_plant_problem(np.linspace(0.05, 3.0, 16))
         warm = {}
         feasibility_solve(assemble_constraints(problem, 3.0),
@@ -253,32 +268,23 @@ class TestFeasibility:
         constraints = assemble_constraints(problem, 5.0)
         carried = feasibility_solve(constraints, options=problem.options, warm=warm)
         fresh = feasibility_solve(constraints, options=problem.options, warm={})
-        cold = feasibility_solve(constraints, options=problem.options)
+        monkeypatch.setattr(synthesis, "WORKING_ROWS", constraints[0].n_freq)
+        full = feasibility_solve(constraints, options=problem.options)
         assert carried.telemetry["rows"] == fresh.telemetry["rows"] + n_carried
-        assert fresh.telemetry["rows"] < cold.telemetry["rows"]
-        assert carried.status == fresh.status == cold.status == "feasible"
+        assert fresh.telemetry["rows"] < full.telemetry["rows"]
+        assert carried.status == fresh.status == full.status == "feasible"
 
     @pytest.mark.parametrize("gamma", [1.5, 2.9, 3.0])
-    def test_working_set_infeasible_below_gamma_star(self, gamma):
+    def test_working_set_infeasible_below_gamma_star(self, monkeypatch, gamma):
         # gamma* is about 3.0013; below it the working set certifies
         # infeasibility as the full fan does, with cuts where needed
         problem = unstable_plant_problem(np.linspace(0.05, 3.0, 16))
         constraints = assemble_constraints(problem, gamma)
-        working = feasibility_solve(constraints, options=problem.options, warm={})
+        working = feasibility_solve(constraints, options=problem.options)
+        monkeypatch.setattr(synthesis, "WORKING_ROWS", constraints[0].n_freq)
         full = feasibility_solve(constraints, options=problem.options)
         assert working.status == full.status == "infeasible"
         assert working.theta is None
-
-    def test_working_set_honours_max_cut_rounds(self):
-        problem = unstable_plant_problem(np.linspace(0.05, 3.0, 16))
-        constraints = assemble_constraints(problem, 3.0)
-        assert feasibility_solve(constraints, options=problem.options,
-                                 warm={}).telemetry["lp_solves"] > 1
-        with pytest.raises(CutRoundsExhaustedError) as err:
-            feasibility_solve(constraints,
-                              options=replace(problem.options, max_cut_rounds=1),
-                              warm={})
-        assert err.value.lp_solves == 1
 
     def test_unfinished_lp_raises_not_infeasible(self, monkeypatch):
         # a solve stopped by its iteration limit has decided nothing
@@ -366,14 +372,7 @@ class TestBisection:
     def test_gamma_equals_full_fan_bisection(self, monkeypatch, small_problem,
                                              small_lpv_result):
         # working sets only change how each step decides, not what
-        solve = synthesis.feasibility_solve
-
-        def full_fan(constraints, equalities, options, warm=None, _central=False):
-            if _central:
-                return solve(constraints, equalities, options, _central=True)
-            return solve(constraints, equalities, options, warm=None)
-
-        monkeypatch.setattr(synthesis, "feasibility_solve", full_fan)
+        monkeypatch.setattr(synthesis, "WORKING_ROWS", len(small_problem.grid))
         assert bisect_gamma(small_problem).gamma == small_lpv_result.gamma
 
     def test_exhausted_central_solve_keeps_warm_theta(self, monkeypatch):
