@@ -23,10 +23,12 @@ tangent planes is still an outer relaxation, so the cuts keep every answer
 sound, and the full fan is just the working set with ``WORKING_ROWS >=
 n_freq``.  Another row set may end on another vertex of a degenerate LP
 optimum, so once the bracket closes theta* is taken from one central solve
-at gamma*: a fresh working set without carried planes, each cut round solved
+at gamma*: a fresh working set without carried planes, cut by hot-started
+dual simplex until a point verifies, then cut further with each round solved
 from scratch by HiGHS's interior-point method without crossover, which stops
-near the analytic centre of the optimal face rather than at a vertex.
-theta* then depends on gamma* alone, not on the search path
+near the analytic centre of the optimal face rather than at a vertex.  The
+simplex phase is deterministic and starts from the working set alone, so
+theta* still depends on gamma* alone, not on the search path
 (``theta_source`` "central"); if that solve runs out of cut rounds or finds
 no feasible theta, the verified theta of the bisection stands ("warm").
 Each LP goes through the module-level ``linprog`` so that a tracer can wrap
@@ -41,7 +43,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import OptimizeResult
 from scipy.optimize._highspy import _core as _hc
-from scipy.sparse import csr_array
 
 from .exceptions import (CutRoundsExhaustedError, SolverFailureError,
                          SynthesisInfeasibleError)
@@ -380,10 +381,12 @@ class FeasibilityOutcome:
 # frequency rows taken from each (p, channel, angle) block of the base fan to
 # start every solve; cuts add whatever else the solve needs
 WORKING_ROWS = 8
-# as scipy's linprog(method="highs"): dual simplex (strategy 1), no logging
-_HIGHS_OPTIONS = (("output_flag", False), ("simplex_strategy", 1))
-# the central solve: interior point without crossover, so theta ends near the
-# analytic centre of the optimal face, not at a vertex
+# dual simplex (strategy 1), no logging, and no presolve: on these small dense
+# LPs presolve costs more per run than it removes
+_HIGHS_OPTIONS = (("output_flag", False), ("simplex_strategy", 1), ("presolve", "off"))
+# the central solve, once a simplex point verifies: interior point without
+# crossover, so theta ends near the analytic centre of the optimal face, not
+# at a vertex
 _CENTRAL_OPTIONS = (("solver", "ipm"), ("run_crossover", "off"))
 _SCIPY_STATUS = {_hc.HighsModelStatus.kOptimal: 0, _hc.HighsModelStatus.kInfeasible: 2}
 
@@ -410,9 +413,12 @@ def linprog(model, *, A_ub: np.ndarray) -> OptimizeResult:
 
 
 def _add_rows(model, a: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> None:
-    a = csr_array(a)
-    if model.addRows(a.shape[0], lower, upper, a.nnz, a.indptr[:-1], a.indices,
-                     a.data) == _hc.HighsStatus.kError:
+    """Add the dense rows ``a`` to the model in compressed row form, exact
+    zeros left out, nonzeros row by row in column order."""
+    rows, cols = np.nonzero(a)
+    starts = np.searchsorted(rows, np.arange(a.shape[0]))
+    if model.addRows(a.shape[0], lower, upper, rows.size, starts, cols,
+                     a[rows, cols]) == _hc.HighsStatus.kError:
         raise SolverFailureError("HiGHS rejected the LP rows")
 
 
@@ -454,9 +460,13 @@ def feasibility_solve(constraints: tuple, equalities=None,
     (a dict that ``bisect_gamma`` keeps across gamma steps) the labels in
     ``warm["labels"]`` are added, and the (row, cos, sin) labels of the
     planes with a nonzero dual in each optimal LP are stored back there.
-    Cut rounds hot-start from the previous basis, except under ``_central``,
-    the central solve of ``bisect_gamma`` (without ``warm``): there every LP
-    is solved from scratch by the interior-point method without crossover.
+    Cut rounds hot-start from the previous basis by dual simplex.  Under
+    ``_central``, the central solve of ``bisect_gamma`` (without ``warm``),
+    the first simplex point that verifies is not returned: the model
+    switches to the interior-point method without crossover and keeps
+    cutting, each LP solved from scratch, until an interior point verifies.
+    Both phases share ``max_cut_rounds``; telemetry ``ipm_lps`` counts the
+    interior-point LPs.
     """
     options = options or SynthesisOptions()
     cmap, gamma_inv, eps = constraints
@@ -467,7 +477,7 @@ def feasibility_solve(constraints: tuple, equalities=None,
     # columns theta, then the margin t; maximize t.  Rows: equalities, the
     # base planes a theta + t <= b, then the cuts of each round.
     model = _hc._Highs()
-    for key, value in _HIGHS_OPTIONS + (_CENTRAL_OPTIONS if _central else ()):
+    for key, value in _HIGHS_OPTIONS:
         model.setOptionValue(key, value)
     bound = np.full(n_theta + 1, options.theta_bound)
     bound[-1] = _hc.kHighsInf
@@ -480,16 +490,19 @@ def feasibility_solve(constraints: tuple, equalities=None,
     _add_rows(model, a_ub, np.full(b_base.size, -_hc.kHighsInf), b_base)
 
     lp_solves = 0
+    ipm_lps = 0
     cuts_added = 0
+    ipm = False
     for _ in range(options.max_cut_rounds):
-        if _central:
+        if ipm:
             model.clearSolver()
         res = linprog(model, A_ub=a_ub)
         lp_solves += 1
+        ipm_lps += ipm
+        tel = {"lp_solves": lp_solves, "ipm_lps": ipm_lps, "cuts": cuts_added,
+               "rows": a_ub.shape[0]}
         if res.status == 2:
-            return FeasibilityOutcome("infeasible", None, -math.inf,
-                                      {"lp_solves": lp_solves, "cuts": cuts_added,
-                                       "rows": a_ub.shape[0]})
+            return FeasibilityOutcome("infeasible", None, -math.inf, tel)
         if res.status != 0:
             raise SolverFailureError(f"LP solver failure: {res.message}")
         if warm is not None:
@@ -497,15 +510,21 @@ def feasibility_solve(constraints: tuple, equalities=None,
             warm["labels"] = tuple(label[active] for label in labels)
         t_star = -res.fun
         theta = res.x[:-1]
-        tel = {"lp_solves": lp_solves, "cuts": cuts_added, "rows": a_ub.shape[0],
-               "lp_margin": t_star}
+        tel["lp_margin"] = t_star
         if t_star < 0.0:
             return FeasibilityOutcome("infeasible", None, t_star, tel)
         margins, _ = cmap.evaluate(theta, gamma_inv, eps)
         tel["margin"] = true_min = float(margins.min())
         bad = np.flatnonzero(margins < -1e-12)
         if not bad.size:
-            return FeasibilityOutcome("feasible", theta, true_min, tel)
+            if ipm or not _central:
+                return FeasibilityOutcome("feasible", theta, true_min, tel)
+            # the central solve hands the same rows over to the interior-point
+            # method; from here every LP is solved from scratch
+            ipm = True
+            for key, value in _CENTRAL_OPTIONS:
+                model.setOptionValue(key, value)
+            continue
         # exact-phase cuts: planes touching each violated disc at its phase
         phases = np.angle(cmap.apply(cmap.N, cmap.n0, bad, theta))
         cut = (bad, np.cos(phases), np.sin(phases))
@@ -562,10 +581,10 @@ def bisect_gamma(problem: SynthesisProblem) -> SynthesisResult:
                 lo = mid
 
     # Working sets land on other points of a degenerate LP optimum, so theta*
-    # comes from one central solve at gamma*: no carried planes, each cut
-    # round solved from scratch by the interior-point method, which ends near
-    # the analytic centre of the optimal face.  theta* then depends on gamma*
-    # alone.  If that solve runs out of cut rounds or does not find theta
+    # comes from one central solve at gamma*: no carried planes, simplex cut
+    # rounds until a point verifies, then interior-point rounds, which end
+    # near the analytic centre of the optimal face.  theta* then depends on
+    # gamma* alone.  If that solve runs out of cut rounds or does not find theta
     # feasible, the verified theta of the bisection stands.
     gamma_star, theta_star = best
     theta_source = "warm"

@@ -315,12 +315,12 @@ class TestFeasibility:
         # an interior-point run stopped early has decided nothing: HiGHS says
         # kIterationLimit, which is status 4 and fails the central solve
         solve = synthesis.linprog
-        statuses = []
+        records = []
 
         def limited(model, *, A_ub):
             model.setOptionValue("ipm_iteration_limit", 1)
             res = solve(model, A_ub=A_ub)
-            statuses.append(res.status)
+            records.append((model.getOptionValue("solver")[1], res.status))
             return res
 
         monkeypatch.setattr(synthesis, "linprog", limited)
@@ -329,12 +329,38 @@ class TestFeasibility:
         constraints = assemble_constraints(problem, 5.0)
         with pytest.raises(SolverFailureError, match="LP solver failure"):
             feasibility_solve(constraints, options=problem.options, _central=True)
-        assert statuses == [4]
+        # the simplex phase (HiGHS's default solver choice) ignores the limit
+        # and ends on a verified point; the first interior-point LP then stops
+        *simplex, last = records
+        assert simplex and simplex == [("choose", 0)] * len(simplex)
+        assert last == ("ipm", 4)
         # the simplex solves of the bisection ignore the limit; its central
         # solve at gamma* fails the same way
         with pytest.raises(SolverFailureError, match="LP solver failure"):
             bisect_gamma(problem)
-        assert statuses[-1] == 4 and statuses.count(4) == 2
+        assert records[-1] == ("ipm", 4)
+        assert [status for _, status in records].count(4) == 2
+
+    def test_add_rows_passes_exactly_the_nonzeros(self):
+        # an equality row with zero columns, an all-zero row and a signed
+        # zero: HiGHS gets the nonzeros a compressed sparse row matrix of the
+        # block holds, in its order
+        from scipy.sparse import csr_array
+        a = np.array([[1.5, 0.0, -2.0, 0.0],
+                      [0.0, 0.0, 0.0, 0.0],
+                      [0.0, 3.0, 0.0, -0.5],
+                      [-0.0, 0.25, 7.0, 0.0]])
+        model = synthesis._hc._Highs()
+        model.setOptionValue("output_flag", False)
+        model.addVars(4, np.full(4, -1.0), np.full(4, 1.0))
+        synthesis._add_rows(model, a[:1], np.zeros(1), np.zeros(1))
+        synthesis._add_rows(model, a[1:], np.full(3, -np.inf), np.ones(3))
+        matrix = model.getLp().a_matrix_
+        ref = csr_array(a)
+        assert matrix.num_row_ == 4
+        assert list(matrix.start_) == ref.indptr.tolist()
+        assert list(matrix.index_) == ref.indices.tolist()
+        assert list(matrix.value_) == ref.data.tolist()
 
     def test_contradictory_equalities_infeasible(self):
         problem = zero_plant_problem()
@@ -363,11 +389,34 @@ class TestBisection:
         # theta* is the central solve at gamma*, whatever working sets the
         # bisection went through
         constraints = assemble_constraints(small_problem, small_lpv_result.gamma)
-        out = feasibility_solve(constraints, add_integral_action(small_problem),
-                                small_problem.options, _central=True)
+        outs = [feasibility_solve(constraints, add_integral_action(small_problem),
+                                  small_problem.options, _central=True)
+                for _ in range(2)]
         assert small_lpv_result.telemetry["theta_source"] == "central"
+        assert all(out.telemetry["ipm_lps"] >= 1 for out in outs)
+        assert np.array_equal(outs[0].theta, outs[1].theta)
         assert np.array_equal(small_problem.layout.pack(small_lpv_result.theta),
-                              out.theta)
+                              outs[0].theta)
+
+    def test_lp_solves_sum_over_every_solve(self, monkeypatch, small_problem,
+                                            small_lpv_result):
+        # the bisection's LP count is the sum of its solves' counts, the
+        # interior-point LPs of the central solve among them
+        solve = synthesis.feasibility_solve
+        telemetry = []
+
+        def recording(*args, **kwargs):
+            out = solve(*args, **kwargs)
+            telemetry.append(out.telemetry)
+            return out
+
+        monkeypatch.setattr(synthesis, "feasibility_solve", recording)
+        result = bisect_gamma(small_problem)
+        assert result.gamma == small_lpv_result.gamma
+        assert result.telemetry["lp_solves"] == sum(t["lp_solves"] for t in telemetry)
+        *bisection, central = telemetry
+        assert all(t["ipm_lps"] == 0 for t in bisection)
+        assert central["ipm_lps"] >= 1
 
     def test_gamma_equals_full_fan_bisection(self, monkeypatch, small_problem,
                                              small_lpv_result):
@@ -376,8 +425,9 @@ class TestBisection:
         assert bisect_gamma(small_problem).gamma == small_lpv_result.gamma
 
     def test_exhausted_central_solve_keeps_warm_theta(self, monkeypatch):
-        # the central solve at gamma* needs 3 LPs here; with one cut round it
-        # runs out, and the bisection's verified theta stands
+        # the central solve at gamma* needs 3 simplex LPs and 1 interior-point
+        # LP here; with one cut round it runs out, and the bisection's
+        # verified theta stands
         problem = unstable_plant_problem(np.linspace(0.05, 3.0, 16), gamma_lo=1.0,
                                          gamma_hi=100.0, gamma_rtol=0.05)
         reference = bisect_gamma(problem)
