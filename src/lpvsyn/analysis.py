@@ -6,8 +6,10 @@ at every grid frequency, where r_c = gamma^{-1} |W_c N_p^c| (zero radius for
 plain stability).  alpha is parameterized as 1 + sum beta_i phi_i over an OBF
 family, making the search a linear program per operating point.  Failure to
 find a multiplier is "inconclusive" unless a refutation witness exists: a
-grid frequency whose disc contains the origin, or a nonzero winding of the
-characteristic data (no stable multiplier can unwind it).
+grid frequency whose disc contains the origin, or a negative winding of the
+characteristic data (no stable multiplier can unwind it).  The grid winding
+counts encirclements only when the grid reaches 0 and pi or the data are real
+at both end lines; otherwise it is neither a witness nor compensated.
 """
 from __future__ import annotations
 
@@ -57,10 +59,24 @@ class Certificate:
         return self.status == "certified"
 
 
+WINDING_TOL = 1e-2
+
+
 def grid_winding(values: np.ndarray) -> int:
     """Full-circle winding number of conjugate-symmetric data given on [0, pi]."""
     phase = np.unwrap(np.angle(values))
     return int(round((phase[-1] - phase[0]) / math.pi))
+
+
+def winding_trusted(values: np.ndarray, grid: FrequencyGrid) -> bool:
+    """Whether :func:`grid_winding` of ``values`` counts their encirclements
+    of the origin: the grid reaches within ``WINDING_TOL`` rad of 0 and pi,
+    or |Im| <= WINDING_TOL |value| at both end lines."""
+    om = grid.omegas
+    if om[0] <= WINDING_TOL and om[-1] >= math.pi - WINDING_TOL:
+        return True
+    ends = np.asarray(values)[[0, -1]]
+    return bool(np.all(np.abs(ends.imag) <= WINDING_TOL * np.abs(ends)))
 
 
 def _multiplier_lp(dtilde: np.ndarray, phi: np.ndarray, eps: float,
@@ -142,9 +158,11 @@ def _disc_certificate(discs: dict, grid: FrequencyGrid, eps: float,
     {channel: r_c})} with one multiplier per operating point.
 
     Refutation witnesses, per operating point in order: vanishing D_p at a
-    grid frequency, nonzero winding of D_p (the data encircles the origin,
+    grid frequency, negative winding of D_p (the data encircles the origin,
     which no stable multiplier can undo), or a disc that contains the origin.
-    Otherwise failure to certify is inconclusive.
+    Otherwise failure to certify is inconclusive.  A nonzero winding that
+    :func:`winding_trusted` rejects is listed in ``detail["winding_not_trusted"]``
+    and treated as zero: no witness, and no delay in the multiplier.
     """
     rows = {}
     delays = {}
@@ -157,6 +175,9 @@ def _disc_certificate(discs: dict, grid: FrequencyGrid, eps: float,
                                  "reason": "zero characteristic data"}
             return Certificate("refuted", {}, {}, eps, detail)
         w = grid_winding(dp)
+        if w and not winding_trusted(dp, grid):
+            detail.setdefault("winding_not_trusted", []).append({"p": p, "winding": w})
+            w = 0
         if w < 0:
             detail["witness"] = {"p": p, "winding": w,
                                  "reason": "characteristic data winds around the origin"}

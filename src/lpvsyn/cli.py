@@ -24,8 +24,8 @@ from .exceptions import (ConfigError, DataFormatError, EstimationError,
 from .factorization import (CHANNELS, CoprimeFrfPair, assemble_closed_loop,
                             coprime_from_closed_loop)
 from .frfdata import (FrequencyGrid, FrfDataset, SchedulingGrid, TimeRecord,
-                      closed_loop_to_plant, etfe_estimate, load_dataset,
-                      save_dataset)
+                      closed_loop_to_plant, default_scheduling_range,
+                      etfe_estimate, load_dataset, save_dataset, write_table)
 from .lfr import (build_lfr, constant_scheduling, filtered_square_reference,
                   frozen_controller_frf, simulate_closed_loop, square_scheduling,
                   step_metrics)
@@ -312,9 +312,7 @@ def _estimate_dataset(cfg: dict, model, k0, records) -> FrfDataset:
         entries[(p, "G")] = closed_loop_to_plant(sens, proc)
         entries[(p, "N_G")] = pair.n_g
         entries[(p, "D_G")] = pair.d_g
-    sched = SchedulingGrid(np.array(points),
-                           (min(points), max(points)) if len(points) > 1
-                           else (points[0] - 0.5, points[0] + 0.5))
+    sched = SchedulingGrid(np.array(points), default_scheduling_range(points))
     return FrfDataset(entries, grid, sched)
 
 
@@ -500,18 +498,6 @@ def simulate(ctx, controller_file):
     click.echo(f"wrote {out / 'metrics.json'}")
 
 
-def _write_table(path, header: str, blocks) -> None:
-    """Plot-ready CSV: each block is (labels, columns), and each of its rows
-    is the labels followed by the shortest round-trip repr of one entry of
-    every column."""
-    lines = [header]
-    for labels, columns in blocks:
-        prefix = "".join(f"{label}," for label in labels)
-        lines.extend(prefix + ",".join(map(repr, row))
-                     for row in np.column_stack(columns).tolist())
-    path.write_text("\n".join(lines) + "\n")
-
-
 @main.command()
 @click.pass_context
 @handle_errors
@@ -533,20 +519,23 @@ def report(ctx):
     grid, weights, data = _closed_loop(cfg, dataset, params)
     ctrl = build_lfr(params, fs)
 
+    polar_fields = ("p", "omega", "hz", "mag", "phase_deg")
+
     def polar(values):
         return grid.omegas, grid.hz, np.abs(values), np.degrees(np.angle(values))
 
-    _write_table(out / "report_plant_frf.csv", "p,omega,hz,mag,phase_deg",
-                 [((f"{p:g}",), polar(dataset.response(p, "G").values))
-                  for p in data])
-    _write_table(out / "report_fourblock.csv", "p,channel,omega,hz,mag,bound",
-                 [((f"{p:g}", c), (grid.omegas, grid.hz,
-                                   np.abs(block.numerator(c) / block.d_p),
-                                   gamma / np.abs(weights[c])))
-                  for p, block in data.items() for c in CHANNELS])
-    _write_table(out / "report_controller_frf.csv", "p,omega,hz,mag,phase_deg",
-                 [((f"{p:g}",), polar(frozen_controller_frf(ctrl, p, grid).values))
-                  for p in data])
+    write_table(out / "report_plant_frf.csv", polar_fields,
+                [((f"{p:g}",), polar(dataset.response(p, "G").values))
+                 for p in data])
+    write_table(out / "report_fourblock.csv",
+                ("p", "channel", "omega", "hz", "mag", "bound"),
+                [((f"{p:g}", c), (grid.omegas, grid.hz,
+                                  np.abs(block.numerator(c) / block.d_p),
+                                  gamma / np.abs(weights[c])))
+                 for p, block in data.items() for c in CHANNELS])
+    write_table(out / "report_controller_frf.csv", polar_fields,
+                [((f"{p:g}",), polar(frozen_controller_frf(ctrl, p, grid).values))
+                 for p in data])
     click.echo(f"wrote report tables to {out}")
 
 

@@ -5,10 +5,10 @@ class LpvsynError(Exception):
     """Base class for all toolkit errors."""
 
 
-class DataFormatError(LpvsynError):
-    """A dataset file violates the documented schema.
+class DataFormatError(LpvsynError, ValueError):
+    """A table file violates the documented schema.
 
-    Carries the offending location (row number or JSON path) when known.
+    Carries the offending location (file, or file and line) when known.
     """
 
     def __init__(self, message, location=None):

@@ -3,18 +3,18 @@
 Frequencies are normalized angular frequencies in radians/sample throughout;
 Hz only ever appears at I/O boundaries via ``sample_rate``.
 
-Dataset file schema (CSV, field names normative):
+Every table file (the dataset, traces and report tables) has one CSV format,
+written by :func:`write_table` and read by :func:`read_table`: a header line
+of field names, then rows of label fields followed by the shortest
+round-trip repr of each float, comma separated, CRLF line ends.  The dataset
+schema (field names normative) is
     channel,p,omega,re,im
-one row per (channel, operating point, frequency).  A JSON mirror holding a
-list of row objects with the same field names (optionally wrapped as
-``{"sample_rate": ..., "rows": [...]}``) is accepted too.
+with one row per (channel, operating point, frequency).
 """
 from __future__ import annotations
 
-import csv
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
@@ -161,114 +161,135 @@ class TimeRecord:
 
 
 # ---------------------------------------------------------------------------
-# dataset I/O
+# range checks and table I/O
 # ---------------------------------------------------------------------------
+
+def check_range(values, scheduling_range, what: str) -> None:
+    """Raise ValueError naming the first of ``values`` outside the closed
+    ``scheduling_range`` widened by 1e-12 on both sides; NaN is outside."""
+    lo, hi = scheduling_range
+    values = np.asarray(values, dtype=float)
+    outside = ~((values >= lo - 1e-12) & (values <= hi + 1e-12))
+    if outside.any():
+        raise ValueError(f"{what} outside range [{lo}, {hi}]: {values[outside].flat[0]}")
+
+
+def default_scheduling_range(points) -> tuple:
+    """The hull of the operating points, widened to (p - 0.5, p + 0.5) for a
+    single point so that the range is never empty."""
+    lo, hi = float(min(points)), float(max(points))
+    return (lo, hi) if lo < hi else (lo - 0.5, hi + 0.5)
+
+
+_ROWS_PER_WRITE = 1024
+
+
+def write_table(path, header, blocks) -> None:
+    """Write a CSV table: the ``header`` names, then for every block
+    ``(labels, columns)`` one row per entry of its equal-length columns,
+    holding the labels and the shortest round-trip repr of that entry of
+    every column.  Comma separated with CRLF line ends, byte-equal to what
+    the csv module writes; labels that it would quote raise ValueError.
+    Rows are formatted a bounded number at a time, so memory stays flat."""
+    blocks = list(blocks)
+    for label in (label for labels, _ in blocks for label in labels):
+        if any(c in label for c in ',"\r\n'):
+            raise ValueError(f"table label {label!r} would need quoting")
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for labels, columns in blocks:
+            prefix = "".join(f"{label}," for label in labels)
+            table = np.column_stack(columns)
+            for lo in range(0, len(table), _ROWS_PER_WRITE):
+                fh.writelines(prefix + ",".join(map(repr, row)) + "\r\n"
+                              for row in table[lo:lo + _ROWS_PER_WRITE].tolist())
+
+
+def read_table(path, header, n_labels: int = 0):
+    """Read a table written by :func:`write_table` whose first ``n_labels``
+    fields are labels.  Returns ``(labels, values)``: one tuple of label
+    strings per row and a float array with one row per table row."""
+    n_values = len(header) - n_labels
+    labels = []
+
+    def value_fields(fh):
+        for line in fh:
+            if line.strip():
+                fields = line.rstrip("\r\n").split(",", n_labels)
+                labels.append(tuple(fields[:n_labels]))
+                yield fields[-1]
+
+    with open(path, newline="") as fh:
+        if fh.readline().rstrip("\r\n").split(",") != list(header):
+            raise DataFormatError(f"expected header {','.join(header)}",
+                                  location=f"{path}:1")
+        try:
+            values = np.loadtxt(value_fields(fh) if n_labels else fh,
+                                delimiter=",", comments=None, ndmin=2)
+        except ValueError as exc:
+            raise DataFormatError(f"bad row: {exc}", location=str(path)) from exc
+    # loadtxt skips blank lines, so a row of labels alone shows as a count
+    if (values.size and values.shape[1] != n_values
+            or len(labels) not in (0, len(values))):
+        raise DataFormatError(f"expected {len(header)} fields per row",
+                              location=str(path))
+    return labels, values.reshape(-1, n_values)
+
 
 _FIELDS = ("channel", "p", "omega", "re", "im")
 
 
 def save_dataset(dataset: FrfDataset, path) -> None:
-    """Write a dataset to CSV (or JSON when the suffix is .json)."""
-    path = Path(path)
-    rows = []
+    """Write a dataset as a CSV table, one block per (point, channel)."""
+    om = dataset.grid.omegas
+    blocks = []
     for p in dataset.scheduling_grid.points:
         for ch in dataset.channels:
-            resp = dataset.response(p, ch)
-            for om, v in zip(dataset.grid.omegas, resp.values):
-                rows.append((ch, float(p), float(om), float(v.real), float(v.imag)))
-    if path.suffix.lower() == ".json":
-        payload = {
-            "sample_rate": dataset.grid.sample_rate,
-            "rows": [dict(zip(_FIELDS, r)) for r in rows],
-        }
-        path.write_text(json.dumps(payload, indent=1))
-        return
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_FIELDS)
-        for ch, p, om, re, im in rows:
-            writer.writerow([ch, repr(p), repr(om), repr(re), repr(im)])
-
-
-def _rows_from_file(path: Path):
-    if path.suffix.lower() == ".json":
-        try:
-            payload = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"invalid JSON: {exc}", location=str(path)) from exc
-        rows = payload.get("rows", payload) if isinstance(payload, dict) else payload
-        sample_rate = payload.get("sample_rate") if isinstance(payload, dict) else None
-        out = []
-        for i, row in enumerate(rows):
-            try:
-                out.append((str(row["channel"]), float(row["p"]), float(row["omega"]),
-                            float(row["re"]), float(row["im"])))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise DataFormatError(f"bad row: {exc}", location=f"{path}:rows[{i}]") from exc
-        return out, sample_rate
-    out = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != list(_FIELDS):
-            raise DataFormatError(
-                f"expected header {','.join(_FIELDS)}", location=f"{path}:1")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 5:
-                raise DataFormatError("expected 5 fields", location=f"{path}:{lineno}")
-            try:
-                out.append((row[0], float(row[1]), float(row[2]),
-                            float(row[3]), float(row[4])))
-            except ValueError as exc:
-                raise DataFormatError(f"bad value: {exc}", location=f"{path}:{lineno}") from exc
-    return out, None
+            v = dataset.response(p, ch).values
+            blocks.append(((ch,), (np.full(om.size, p), om, v.real, v.imag)))
+    write_table(path, _FIELDS, blocks)
 
 
 def load_dataset(path, sample_rate: float | None = None,
                  scheduling_range: tuple | None = None) -> FrfDataset:
     """Load a dataset written by :func:`save_dataset`.
 
-    ``sample_rate`` overrides the file metadata (CSV carries none; it defaults
-    to 1.0).  The scheduling range defaults to the hull of the points found.
+    The file carries no sample rate: ``sample_rate`` defaults to 1.0.  The
+    scheduling range defaults to :func:`default_scheduling_range` of the
+    points found.
     """
     path = Path(path)
     if not path.exists():
         raise DataFormatError("file does not exist", location=str(path))
-    rows, meta_rate = _rows_from_file(path)
-    if not rows:
+    labels, values = read_table(path, _FIELDS, n_labels=1)
+    if not labels:
         raise DataFormatError("dataset file has no data rows", location=str(path))
-    rate = sample_rate if sample_rate is not None else (meta_rate or 1.0)
+    rate = sample_rate if sample_rate is not None else 1.0
 
-    blocks: dict = {}
-    for ch, p, om, re, im in rows:
+    rows: dict = {}
+    for i, ((ch,), p) in enumerate(zip(labels, values[:, 0].tolist())):
         if not math.isfinite(p):  # NaN keys would split one block per row
             raise DataFormatError(f"operating point {p} is not finite", location=str(path))
-        blocks.setdefault((p, ch), []).append((om, complex(re, im)))
+        rows.setdefault((p, ch), []).append(i)
 
-    first_key = next(iter(blocks))
-    ref = [om for om, _ in blocks[first_key]]
-    omegas = np.asarray(ref)
-    if np.any(np.diff(omegas) <= 0):
-        raise DataFormatError(
-            f"non-monotone frequencies in block {first_key}", location=str(path))
+    first_key, first_rows = next(iter(rows.items()))
     try:
-        grid = FrequencyGrid(omegas, rate)
+        grid = FrequencyGrid(values[first_rows, 1], rate)
     except ValueError as exc:
         raise DataFormatError(str(exc), location=str(path)) from exc
 
     entries = {}
-    for key, block in blocks.items():
-        oms = [om for om, _ in block]
-        if not np.array_equal(oms, ref):
+    for key, idx in rows.items():
+        if not np.array_equal(values[idx, 1], grid.omegas):
             raise DataFormatError(
                 f"block {key} uses a different frequency grid than {first_key}",
                 location=str(path))
-        entries[key] = FrfResponse(np.array([v for _, v in block]), grid)
+        # (re, im) pairs viewed as complex keep every bit, -0.0 included
+        entries[key] = FrfResponse(
+            np.ascontiguousarray(values[idx, 2:]).view(complex)[:, 0], grid)
 
     points = sorted({p for (p, _) in entries})
-    rng = scheduling_range or (points[0], points[-1])
+    rng = scheduling_range or default_scheduling_range(points)
     sched = SchedulingGrid(np.array(points), rng)
     return FrfDataset(entries, grid, sched)
 

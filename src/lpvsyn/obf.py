@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .frfdata import FrequencyGrid
+from .frfdata import FrequencyGrid, check_range
 from .rational import statespace_response
 
 POLE_MARGIN = 1e-9
@@ -202,11 +202,8 @@ class SchedulingBasis:
 def scheduling_eval(basis: SchedulingBasis, p) -> np.ndarray:
     """[psi_1(p), ..., psi_m(p)] = [1, ptilde, ptilde^2, ...]; for an array
     of operating points, one such row per point."""
-    lo, hi = basis.p_range
+    check_range(p, basis.p_range, "operating point")
     p = np.asarray(p, dtype=float)
-    outside = ~((p >= lo - 1e-12) & (p <= hi + 1e-12))
-    if outside.any():
-        raise ValueError(f"operating point {p[outside].flat[0]} outside range [{lo}, {hi}]")
     return np.vander(np.ravel(basis.rescale(p)), basis.m,
                      increasing=True).reshape(p.shape + (basis.m,))
 

@@ -17,7 +17,8 @@ import numpy as np
 
 from . import _kernels
 from .exceptions import SimulationDivergedError, StabilizationError
-from .frfdata import FrequencyGrid, FrfResponse, TimeRecord
+from .frfdata import (FrequencyGrid, FrfResponse, TimeRecord, check_range,
+                      read_table, write_table)
 from .rational import (RationalTf, closed_loop_maps, internally_stable,
                        statespace_response, statespace_tf)
 
@@ -63,12 +64,7 @@ class LpvSurrogateModel:
         return self.a0 + p * self.a1
 
     def check_in_range(self, p) -> None:
-        lo, hi = self.scheduling_range
-        p = np.asarray(p, dtype=float)
-        outside = ~((p >= lo - 1e-12) & (p <= hi + 1e-12))
-        if outside.any():
-            raise ValueError(
-                f"scheduling value outside range [{lo}, {hi}]: {p[outside].flat[0]}")
+        check_range(p, self.scheduling_range, "scheduling value")
 
 
 def load_surrogate(path) -> LpvSurrogateModel:
@@ -218,9 +214,7 @@ class Trace:
             elif arr.size != n:
                 raise ValueError("trace signals must have equal length")
             arrays[name] = arr
-        lo, hi = self.scheduling_range
-        if np.any(arrays["p"] < lo - 1e-12) or np.any(arrays["p"] > hi + 1e-12):
-            raise ValueError("scheduling signal leaves the scheduling range")
+        check_range(arrays["p"], self.scheduling_range, "scheduling signal")
         for name, arr in arrays.items():
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -237,27 +231,15 @@ TRACE_COLUMNS = ("t", "r", "e", "u", "d", "y", "p")
 
 
 def save_trace(trace: Trace, path) -> None:
-    """CSV export with header t,r,e,u,d,y,p: shortest round-trip float reprs,
-    comma separated, CRLF line ends."""
-    table = np.column_stack([trace.t, trace.r, trace.e, trace.u, trace.d,
-                             trace.y, trace.p])
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(TRACE_COLUMNS) + "\r\n")
-        for lo in range(0, len(table), _kernels.CHUNK):
-            fh.writelines(",".join(map(repr, row)) + "\r\n"
-                          for row in table[lo:lo + _kernels.CHUNK].tolist())
+    """Write a trace as a CSV table with header t,r,e,u,d,y,p."""
+    write_table(path, TRACE_COLUMNS, [((), (trace.t, trace.r, trace.e, trace.u,
+                                            trace.d, trace.y, trace.p))])
 
 
 def load_trace(path, scheduling_range=None) -> Trace:
-    with open(path, newline="") as fh:
-        header = fh.readline().rstrip("\r\n").split(",")
-        if header != list(TRACE_COLUMNS):
-            raise ValueError(f"unexpected trace header {header}")
-        table = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if table.size and table.shape[1] != len(TRACE_COLUMNS):
-        raise ValueError(f"trace rows need {len(TRACE_COLUMNS)} columns, "
-                         f"found {table.shape[1]}")
-    t, r, e, u, d, y, p = table.reshape(-1, len(TRACE_COLUMNS)).T
+    t, r, e, u, d, y, p = read_table(path, TRACE_COLUMNS)[1].T
     fs = 1.0 / (t[1] - t[0]) if t.size > 1 else 1.0
-    rng = scheduling_range or (float(p.min()), float(p.max()) + 1e-9)
+    # the hull skips NaN, so that the range check names a NaN row
+    rng = scheduling_range or (float(np.fmin.reduce(p)),
+                               float(np.fmax.reduce(p)) + 1e-9)
     return Trace(r, e, u, d, y, p, round(fs, 9), rng)

@@ -4,6 +4,7 @@ import pytest
 from lpvsyn import (FrequencyGrid, ObfBasis, RationalTf, characteristic_data,
                     check_performance, check_stability, closed_loop_data,
                     compute_achieved_gamma, grid_winding, oracle_stability)
+from lpvsyn.analysis import winding_trusted
 from lpvsyn.factorization import ClosedLoopFactorData
 from lpvsyn.rational import closed_loop_char_poly
 from conftest import closed_loop_pole_moduli, random_proper_tf
@@ -22,6 +23,39 @@ class TestGridWinding:
         assert grid_winding(1.0 / z) == -1
         assert grid_winding(z - 0.5) == 1
         assert grid_winding((z + 2.0) / z) == -1
+
+
+class TestWindingOnPartialGrid:
+    @pytest.mark.parametrize("r", [0.9, 0.95])
+    def test_stable_data_not_refuted_by_winding_short_of_nyquist(self, r):
+        # stable, minimum-phase D_p on a grid that stops at 90 of 100 Hz: its
+        # phase leaves the real axis before the last line, so the grid
+        # winding (-1) differs from the dense one over [0, pi] (0)
+        grid = FrequencyGrid.log_spaced(0.05, 90.0, 64, 200.0)
+        theta = 2 * np.pi * 95 / 200
+
+        def dp(z):
+            return (1 - r * np.exp(1j * theta) / z) * (1 - r * np.exp(-1j * theta) / z)
+
+        dense = np.exp(1j * np.linspace(0.0, np.pi, 20001))
+        assert grid_winding(dp(dense)) == 0
+        assert grid_winding(dp(grid.z)) == -1
+        assert not winding_trusted(dp(grid.z), grid)
+        cert = check_stability({40.0: dp(grid.z)}, grid)
+        assert cert.status != "refuted"
+        assert cert.detail["winding_not_trusted"] == [{"p": 40.0, "winding": -1}]
+        assert all(m.delay == 0 for m in cert.multipliers.values())
+
+    def test_real_end_lines_keep_the_winding_witness(self):
+        # a grid short of both 0 and pi, with data real at both end lines
+        grid = FrequencyGrid(np.linspace(0.5, 2.5, 64))
+        om = grid.omegas
+        data = np.exp(-1j * np.pi * (om - om[0]) / (om[-1] - om[0]))
+        assert winding_trusted(data, grid)
+        cert = check_stability({0.0: data}, grid)
+        assert cert.status == "refuted"
+        assert cert.detail["witness"]["winding"] == -1
+        assert "winding_not_trusted" not in cert.detail
 
 
 class TestCheckStability:

@@ -130,6 +130,25 @@ class TestPipeline:
         assert ctrl["scheduling"]["m"] == 1
 
 
+class TestOnePoint:
+    def test_pipeline_on_one_operating_point(self, tmp_path):
+        # one point widens to the range (39.5, 40.5) when written and when read
+        cfg = tiny_config(tmp_path / "out")
+        cfg["experiment"]["operating_points"] = [40.0]
+        cfg["synthesis"]["scheduling.kind"] = "constant"
+        cfg_path = write_config(tmp_path, cfg)
+        for args in (["generate"], ["synthesize"]):
+            res = run("--config", cfg_path, *args)
+            assert res.exit_code == 0, res.output
+        out = tmp_path / "out"
+        result = json.loads((out / "synthesis_result.json").read_text())
+        assert result["controller"]["scheduling"]["range"] == [39.5, 40.5]
+        for args in (["analyze", str(out / "controller.json"),
+                      "--gamma", repr(result["gamma"])], ["report"]):
+            res = run("--config", cfg_path, *args)
+            assert res.exit_code == 0, res.output
+
+
 class TestExternalDataset:
     def test_synthesize_from_external_dataset(self, pipeline, tmp_path):
         # copy a dataset into a fresh out dir and synthesize without the plant

@@ -98,20 +98,24 @@ class TestDatasetIO:
         for key, resp in ds.entries.items():
             assert np.array_equal(back.entries[key].values, resp.values)
 
-    def test_json_round_trip(self, tmp_path):
-        ds = make_dataset(make_grid())
-        path = tmp_path / "ds.json"
-        save_dataset(ds, path)
-        back = load_dataset(path)
-        assert back.grid.sample_rate == ds.grid.sample_rate
-        for key, resp in ds.entries.items():
-            assert np.array_equal(back.entries[key].values, resp.values)
+    @pytest.mark.parametrize("char", [",", '"', "\r", "\n"])
+    def test_label_needing_quotes_rejected(self, tmp_path, char):
+        ds = make_dataset(make_grid(), channels=(f"G{char}1",))
+        with pytest.raises(ValueError, match="would need quoting"):
+            save_dataset(ds, tmp_path / "ds.csv")
+        assert not (tmp_path / "ds.csv").exists()
 
     def test_three_point_file_has_three_scheduling_points(self, tmp_path):
         ds = make_dataset(make_grid())
         path = tmp_path / "ds.csv"
         save_dataset(ds, path)
         assert len(load_dataset(path).scheduling_grid) == 3
+
+    def test_one_point_file_gets_a_nonempty_range(self, tmp_path):
+        ds = make_dataset(make_grid(), points=(40.0,))
+        path = tmp_path / "ds.csv"
+        save_dataset(ds, path)
+        assert load_dataset(path).scheduling_grid.range == (39.5, 40.5)
 
     def test_row_count(self, tmp_path):
         grid = make_grid(n=100)

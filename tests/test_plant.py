@@ -5,10 +5,11 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from lpvsyn import (FrequencyGrid, LpvSurrogateModel, TimeRecord, Trace,
-                    closed_loop_to_plant, etfe_estimate, frozen_frf, frozen_tf,
-                    generate_experiment, internally_stable, load_surrogate,
-                    load_trace, save_trace, simulate_lpv)
+from lpvsyn import (FrequencyGrid, FrfDataset, FrfResponse, LpvSurrogateModel,
+                    SchedulingGrid, TimeRecord, Trace, closed_loop_to_plant,
+                    etfe_estimate, frozen_frf, frozen_tf, generate_experiment,
+                    internally_stable, load_dataset, load_surrogate,
+                    load_trace, save_dataset, save_trace, simulate_lpv)
 from lpvsyn import _kernels
 from lpvsyn.exceptions import SimulationDivergedError, StabilizationError
 from lpvsyn.rational import RationalTf, statespace_response
@@ -237,6 +238,19 @@ class TestTrace:
         with pytest.raises(ValueError):
             Trace(np.zeros(4), np.zeros(4), np.zeros(4), np.zeros(4),
                   np.zeros(4), np.full(4, 60.0), 1.0, (30.0, 50.0))
+        # NaN passes both one-sided comparisons; the message names it
+        for p in ([40.0, np.nan, 40.0, 40.0], [np.nan] * 4):
+            with pytest.raises(ValueError, match=r"outside range \[30\.0, 50\.0\]: nan"):
+                Trace(np.zeros(4), np.zeros(4), np.zeros(4), np.zeros(4),
+                      np.zeros(4), np.array(p), 1.0, (30.0, 50.0))
+
+    @pytest.mark.parametrize("scheduling_range", [(30.0, 50.0), None])
+    def test_nan_scheduling_row_rejected_on_load(self, tmp_path, scheduling_range):
+        path = tmp_path / "trace.csv"
+        path.write_text("t,r,e,u,d,y,p\r\n0.0,0.0,0.0,0.0,0.0,0.0,40.0\r\n"
+                        "0.005,0.0,0.0,0.0,0.0,0.0,nan\r\n")
+        with pytest.raises(ValueError, match=r"scheduling signal outside range .*: nan$"):
+            load_trace(path, scheduling_range)
 
     def test_save_load_round_trip(self, tmp_path):
         n = 16
@@ -251,30 +265,61 @@ class TestTrace:
             assert np.array_equal(getattr(back, name), getattr(tr, name))
 
     @staticmethod
-    def csv_module_bytes(trace, path):
-        """The trace file as the standard csv module writes it."""
+    def csv_module_bytes(path, header, rows):
+        """The table file as the standard csv module writes it."""
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["t", "r", "e", "u", "d", "y", "p"])
-            for row in zip(trace.t, trace.r, trace.e, trace.u, trace.d,
-                           trace.y, trace.p):
-                writer.writerow([repr(float(v)) for v in row])
+            writer.writerow(header)
+            for labels, values in rows:
+                writer.writerow(list(labels) + [repr(float(v)) for v in values])
         return path.read_bytes()
 
-    @pytest.mark.parametrize("n", [1, 3000])
-    def test_writer_matches_csv_module_and_reads_back_exactly(self, tmp_path, n):
-        # 3000 rows span several write blocks; one row needs ndmin=2 to load
-        rng = np.random.default_rng(n)
-        signals = rng.standard_normal((5, n)) * 10.0 ** rng.integers(-300, 300, (5, n))
-        signals[:, 0] = [-0.0, 5e-324, 1e300, -1e300, 0.1]
+    @staticmethod
+    def trace_round_trip(path, signals, rng):
+        n = signals.shape[1]
         tr = Trace(*signals, 30.0 + 20.0 * rng.random(n), 200.0, (30.0, 50.0))
-        path = tmp_path / "trace.csv"
         save_trace(tr, path)
-        assert path.read_bytes() == self.csv_module_bytes(tr, tmp_path / "ref.csv")
         back = load_trace(path, (30.0, 50.0))
         assert len(back) == n
         for name in ("r", "e", "u", "d", "y", "p"):
             assert getattr(back, name).tobytes() == getattr(tr, name).tobytes()
+        return "t,r,e,u,d,y,p".split(","), [
+            ((), row) for row in zip(tr.t, tr.r, tr.e, tr.u, tr.d, tr.y, tr.p)]
+
+    @staticmethod
+    def dataset_round_trip(path, signals, rng):
+        # 3 points x 5 channels on a 1000-line grid; the parts of the values
+        # are set apart, since adding 1j * imag would turn -0.0 into 0.0
+        grid = FrequencyGrid(np.sort(rng.uniform(0.0, np.pi, signals.shape[1])), 200.0)
+        values = np.empty(signals.shape, dtype=complex)
+        values.real, values.imag = signals, np.roll(signals, 1, axis=0)
+        points, channels = (30.0, 40.0, 50.0), ("D_G", "G", "GS", "N_G", "S")
+        entries = {(p, ch): FrfResponse(values[k % 5], grid)
+                   for k, (p, ch) in enumerate((p, ch) for p in points for ch in channels)}
+        ds = FrfDataset(entries, grid, SchedulingGrid(np.array(points), (30.0, 50.0)))
+        save_dataset(ds, path)
+        back = load_dataset(path, sample_rate=200.0)
+        assert back.grid.omegas.tobytes() == grid.omegas.tobytes()
+        assert back.entries.keys() == entries.keys()
+        for key, resp in entries.items():
+            assert back.entries[key].values.tobytes() == resp.values.tobytes()
+        return "channel,p,omega,re,im".split(","), [
+            ((ch,), (p, om, v.real, v.imag)) for (p, ch), resp in entries.items()
+            for om, v in zip(grid.omegas, resp.values)]
+
+    @pytest.mark.parametrize("kind, n", [("trace", 1), ("trace", 3000),
+                                         ("dataset", 1000)],
+                             ids=["1", "3000", "dataset"])
+    def test_writer_matches_csv_module_and_reads_back_exactly(self, tmp_path, kind, n):
+        # 3000 rows span several write blocks; one row needs ndmin=2 to load
+        rng = np.random.default_rng(n)
+        signals = rng.standard_normal((5, n)) * 10.0 ** rng.integers(-300, 300, (5, n))
+        signals[:, 0] = [-0.0, 5e-324, 1e300, -1e300, 0.1]
+        path = tmp_path / f"{kind}.csv"
+        round_trip = self.trace_round_trip if kind == "trace" else self.dataset_round_trip
+        header, rows = round_trip(path, signals, rng)
+        assert path.read_bytes() == self.csv_module_bytes(tmp_path / "ref.csv",
+                                                          header, rows)
 
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "trace.csv"
