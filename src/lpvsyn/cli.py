@@ -389,10 +389,10 @@ def _closed_loop(cfg: dict, dataset: FrfDataset, params: ControllerParameters):
 def result_to_dict(result: SynthesisResult, sample_rate: float) -> dict:
     margins = {f"p={p:g}/{c}": [round(float(v), 12) for v in arr]
                for (p, c), arr in sorted(result.margins.items())}
-    # wall time and the LP count depend on the run and the search path, not
-    # on the result; they stay in result.telemetry for tracing
+    # wall time, the LP count and the skipped levels depend on the run and the
+    # search path, not on the result; they stay in result.telemetry for tracing
     telemetry = {k: v for k, v in result.telemetry.items()
-                 if k not in ("wall_time_s", "lp_solves")}
+                 if k not in ("wall_time_s", "lp_solves", "skipped_steps")}
     return {
         "gamma": result.gamma,
         "re_dp_min": result.re_dp_min,

@@ -201,9 +201,14 @@ class SchedulingBasis:
 
 def scheduling_eval(basis: SchedulingBasis, p) -> np.ndarray:
     """[psi_1(p), ..., psi_m(p)] = [1, ptilde, ptilde^2, ...]; for an array
-    of operating points, one such row per point."""
-    check_range(p, basis.p_range, "operating point")
+    of operating points, one such row per point.  A point outside
+    ``p_range`` is rejected as extrapolation, except by a constant basis
+    (m = 1), which does not depend on p and takes any finite point."""
     p = np.asarray(p, dtype=float)
+    if basis.m > 1:
+        check_range(p, basis.p_range, "operating point")
+    elif not np.all(np.isfinite(p)):
+        raise ValueError(f"operating point not finite: {p[~np.isfinite(p)].flat[0]}")
     return np.vander(np.ravel(basis.rescale(p)), basis.m,
                      increasing=True).reshape(p.shape + (basis.m,))
 

@@ -4,8 +4,11 @@ Each round synthesizes a controller, extracts the frozen controller pole and
 zero locations across the operating points, clusters them (fuzzy c-means
 stand-in), rebuilds conjugate-closed bases from the cluster centers and
 re-synthesizes.  The best iterate is kept, so the achieved performance never
-increases; iteration stops on the round limit or when the relative
-improvement drops below one percent.
+increases.  Each round's bisection gets the best gamma so far as its
+incumbent and first checks whether it can go below it; a round that cannot
+beat the best gamma ends the iteration (it would cluster the same best
+controller again and rebuild the same candidate).  Iteration also stops on
+the round limit or when the relative improvement drops below one percent.
 """
 from __future__ import annotations
 
@@ -82,9 +85,7 @@ def centers_to_basis(centers: np.ndarray, n_slots: int,
 def basis_selection_iterate(problem: SynthesisProblem,
                             max_rounds: int) -> tuple:
     """Alternate synthesis and basis refinement; returns (BasisPair, result)."""
-    result = bisect_gamma(problem)
-    best = (BasisPair(problem.basis_n, problem.basis_d), result)
-    previous = result.gamma
+    best = (BasisPair(problem.basis_n, problem.basis_d), bisect_gamma(problem))
     points = problem.scheduling_grid.points
     for _ in range(max_rounds):
         pole_samples, zero_samples = controller_root_samples(best[1], points)
@@ -99,13 +100,14 @@ def basis_selection_iterate(problem: SynthesisProblem,
             centers = cluster_poles(proj, min(problem.basis_n.n, proj.size))
             basis_n = centers_to_basis(centers, problem.basis_n.n)
         candidate = replace(problem, basis_n=basis_n, basis_d=basis_d)
+        gamma = best[1].gamma
         try:
-            result = bisect_gamma(candidate)
+            result = bisect_gamma(candidate, incumbent=gamma)
         except SynthesisInfeasibleError:
             break
-        if result.gamma < best[1].gamma:
-            best = (BasisPair(basis_n, basis_d), result)
-        if abs(previous - result.gamma) < IMPROVEMENT_STOP * previous:
+        if not result.gamma < gamma:
             break
-        previous = result.gamma
+        best = (BasisPair(basis_n, basis_d), result)
+        if gamma - result.gamma < IMPROVEMENT_STOP * gamma:
+            break
     return best

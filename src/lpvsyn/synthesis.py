@@ -11,7 +11,12 @@ Feasibility subproblems are linear programs over its tangent half-planes:
 starting from an outer relaxation, exact-phase cuts are added until the
 returned theta verifies against the true cone constraints or the relaxation
 certifies infeasibility.  An outer bisection over gamma yields the
-performance level.
+performance level.  A level at which the best verified theta so far already
+holds needs no LP and counts as a skipped step; the levels stay those of the
+plain bisection, so gamma does not depend on which were skipped.  Given an
+``incumbent`` level to beat, the bisection first solves at the incumbent:
+if it is infeasible the bisection ends at once at gamma_hi, and if it is
+feasible its theta settles every level above the incumbent.
 
 The LPs of one feasibility solve live in one HiGHS model (scipy's own
 binding): cuts are added as rows and each cut round hot-starts from the
@@ -440,6 +445,13 @@ def _working_set(cmap: ConstraintMap, carried) -> tuple:
     return labels[:, 0].astype(int), labels[:, 1], labels[:, 2]
 
 
+def _violated(cmap: ConstraintMap, theta: np.ndarray, gamma_inv: float, eps: float):
+    """(true margins, violated rows) of theta: a row is violated when its
+    margin is below -1e-12, and theta is accepted as feasible when none is."""
+    margins, _ = cmap.evaluate(theta, gamma_inv, eps)
+    return margins, np.flatnonzero(margins < -1e-12)
+
+
 def feasibility_solve(constraints: tuple, equalities=None,
                       options: SynthesisOptions | None = None,
                       warm: dict | None = None, *,
@@ -513,9 +525,8 @@ def feasibility_solve(constraints: tuple, equalities=None,
         tel["lp_margin"] = t_star
         if t_star < 0.0:
             return FeasibilityOutcome("infeasible", None, t_star, tel)
-        margins, _ = cmap.evaluate(theta, gamma_inv, eps)
+        margins, bad = _violated(cmap, theta, gamma_inv, eps)
         tel["margin"] = true_min = float(margins.min())
-        bad = np.flatnonzero(margins < -1e-12)
         if not bad.size:
             if ipm or not _central:
                 return FeasibilityOutcome("feasible", theta, true_min, tel)
@@ -537,8 +548,24 @@ def feasibility_solve(constraints: tuple, equalities=None,
     raise CutRoundsExhaustedError("cutting-plane refinement did not converge", lp_solves)
 
 
-def bisect_gamma(problem: SynthesisProblem) -> SynthesisResult:
-    """Minimize gamma by bisection over cone-feasibility subproblems."""
+def bisect_gamma(problem: SynthesisProblem, *,
+                 incumbent: float | None = None) -> SynthesisResult:
+    """Minimize gamma by bisection over cone-feasibility subproblems.
+
+    A level at which the best verified theta so far already holds is feasible
+    without an LP; telemetry ``skipped_steps`` counts those halvings among
+    ``bisect_steps``.  The levels stay on the dyadic lattice of
+    [gamma_lo, gamma_hi], so gamma and ``gamma_bracket`` do not depend on
+    which levels were skipped.
+
+    ``incumbent``, a level to beat (the best gamma of another problem), adds
+    one solve at that level right after the one at gamma_hi, when it lies
+    below gamma_hi.  If the incumbent is infeasible, gamma* cannot be below
+    it and the result returns at once: gamma = gamma_hi with the theta of
+    that solve ("warm"), ``gamma_bracket`` (incumbent, gamma_hi).  If it is
+    feasible, its theta holds at every lattice level above the incumbent,
+    and the bisection skips them.
+    """
     options = problem.options
     eps = problem.eps
     cmap = constraint_map(problem)
@@ -555,6 +582,27 @@ def bisect_gamma(problem: SynthesisProblem) -> SynthesisResult:
         lp_solves += out.telemetry["lp_solves"]
         return out
 
+    def finish(gamma, theta, theta_source, bracket, bisect_steps, skipped_steps):
+        all_margins, re_dp = cmap.evaluate(theta, 1.0 / gamma, eps)
+        re_dp_min = float(re_dp.min())
+        worst = float(all_margins.min())
+        if worst < -1e-9 or re_dp_min < eps - 1e-9:
+            raise SolverFailureError(
+                f"recomputed margins are negative (min {worst:.3e}); "
+                "solver responses were not monotone")
+        telemetry = {
+            "bisect_steps": bisect_steps,
+            "lp_solves": lp_solves,
+            "eps": eps,
+            "wall_time_s": time.perf_counter() - t_start,
+            "gamma_bracket": bracket,
+            "theta_source": theta_source,
+            "skipped_steps": skipped_steps,
+        }
+        return SynthesisResult(theta=layout.unpack(theta), gamma=gamma,
+                               margins=cmap.by_block(all_margins),
+                               re_dp_min=re_dp_min, telemetry=telemetry)
+
     warm = {}
     hi = options.gamma_hi
     lo = options.gamma_lo
@@ -564,21 +612,38 @@ def bisect_gamma(problem: SynthesisProblem) -> SynthesisResult:
             f"infeasible at the gamma upper bound {hi}",
             diagnostics={"gamma": hi, "lp_margin": out_hi.margin,
                          **out_hi.telemetry})
-    best = (hi, out_hi.theta)
+    theta_best = out_hi.theta
+
+    if incumbent is not None and incumbent < hi:
+        try:
+            out_inc = solve_at(incumbent, warm=warm)
+        except CutRoundsExhaustedError as exc:
+            # undecided: bisect as without an incumbent
+            lp_solves += exc.lp_solves
+        else:
+            if out_inc.status != "feasible":
+                return finish(hi, theta_best, "warm", (incumbent, hi), 0, 0)
+            theta_best = out_inc.theta
 
     out_lo = solve_at(lo, warm=warm)
-    bisect_steps = 0
+    bisect_steps = skipped_steps = 0
     if out_lo.status == "feasible":
-        best = (lo, out_lo.theta)
+        gamma_star, theta_best = lo, out_lo.theta
     else:
         while hi - lo > options.gamma_rtol * hi:
             mid = 0.5 * (lo + hi)
-            out_mid = solve_at(mid, warm=warm)
             bisect_steps += 1
+            # the held theta settles this level: feasible without an LP
+            if not _violated(cmap, theta_best, 1.0 / mid, eps)[1].size:
+                hi = mid
+                skipped_steps += 1
+                continue
+            out_mid = solve_at(mid, warm=warm)
             if out_mid.status == "feasible":
-                hi, best = mid, (mid, out_mid.theta)
+                hi, theta_best = mid, out_mid.theta
             else:
                 lo = mid
+        gamma_star = hi
 
     # Working sets land on other points of a degenerate LP optimum, so theta*
     # comes from one central solve at gamma*: no carried planes, simplex cut
@@ -586,7 +651,6 @@ def bisect_gamma(problem: SynthesisProblem) -> SynthesisResult:
     # near the analytic centre of the optimal face.  theta* then depends on
     # gamma* alone.  If that solve runs out of cut rounds or does not find theta
     # feasible, the verified theta of the bisection stands.
-    gamma_star, theta_star = best
     theta_source = "warm"
     try:
         final = solve_at(gamma_star, _central=True)
@@ -594,26 +658,9 @@ def bisect_gamma(problem: SynthesisProblem) -> SynthesisResult:
         lp_solves += exc.lp_solves
     else:
         if final.status == "feasible":
-            theta_star, theta_source = final.theta, "central"
-    params = layout.unpack(theta_star)
-    all_margins, re_dp = cmap.evaluate(theta_star, 1.0 / gamma_star, eps)
-    margins = cmap.by_block(all_margins)
-    re_dp_min = float(re_dp.min())
-    worst = float(all_margins.min())
-    if worst < -1e-9 or re_dp_min < eps - 1e-9:
-        raise SolverFailureError(
-            f"recomputed margins are negative (min {worst:.3e}); "
-            "solver responses were not monotone")
-    telemetry = {
-        "bisect_steps": bisect_steps,
-        "lp_solves": lp_solves,
-        "eps": eps,
-        "wall_time_s": time.perf_counter() - t_start,
-        "gamma_bracket": (lo, hi),
-        "theta_source": theta_source,
-    }
-    return SynthesisResult(theta=params, gamma=gamma_star, margins=margins,
-                           re_dp_min=re_dp_min, telemetry=telemetry)
+            theta_best, theta_source = final.theta, "central"
+    return finish(gamma_star, theta_best, theta_source, (lo, hi), bisect_steps,
+                  skipped_steps)
 
 
 def closed_loop_data(problem: SynthesisProblem, params: ControllerParameters) -> dict:

@@ -68,10 +68,11 @@ class TestPipeline:
         assert "margins" in payload and "telemetry" in payload
 
     def test_synthesis_result_omits_run_counters(self, pipeline):
-        # the LP count depends on the search path, not on gamma and theta
+        # the LP count and the skipped levels depend on the search path, not
+        # on gamma and theta
         _, out = pipeline
         telemetry = json.loads((out / "synthesis_result.json").read_text())["telemetry"]
-        assert "lp_solves" not in telemetry and "wall_time_s" not in telemetry
+        assert not {"lp_solves", "skipped_steps", "wall_time_s"} & telemetry.keys()
 
     def test_estimate_reproduces_dataset(self, pipeline):
         cfg_path, out = pipeline
@@ -143,8 +144,11 @@ class TestOnePoint:
         out = tmp_path / "out"
         result = json.loads((out / "synthesis_result.json").read_text())
         assert result["controller"]["scheduling"]["range"] == [39.5, 40.5]
+        # simulate schedules over the plant's range [30, 50], which the
+        # constant controller does not depend on
         for args in (["analyze", str(out / "controller.json"),
-                      "--gamma", repr(result["gamma"])], ["report"]):
+                      "--gamma", repr(result["gamma"])],
+                     ["simulate", str(out / "controller.json")], ["report"]):
             res = run("--config", cfg_path, *args)
             assert res.exit_code == 0, res.output
 

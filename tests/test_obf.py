@@ -157,6 +157,15 @@ class TestSchedulingBasis:
         sb = SchedulingBasis.constant((30.0, 50.0))
         assert np.allclose(scheduling_eval(sb, 37.0), [1.0])
 
+    def test_constant_mode_takes_any_finite_point(self):
+        # a constant basis does not depend on p, so nothing is extrapolated
+        sb = SchedulingBasis.constant((39.5, 40.5))
+        assert np.array_equal(scheduling_eval(sb, np.array([30.0, 40.0, 50.0])),
+                              np.ones((3, 1)))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="operating point not finite"):
+                scheduling_eval(sb, np.array([40.0, bad]))
+
     def test_out_of_range_rejected(self):
         sb = SchedulingBasis.affine((30.0, 50.0))
         with pytest.raises(ValueError):

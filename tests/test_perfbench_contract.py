@@ -84,8 +84,9 @@ def test_tracer_counts_every_synthesis_lp(tracer):
     assert metrics["synthesis.lp_solves"] == metrics["telemetry_lp_solves"] \
         == result.telemetry["lp_solves"]
     assert result.telemetry["bisect_steps"] > 0
+    # hi, lo, every bisection level not settled by a held theta, and theta*
     assert metrics["synthesis.feasibility_solves"] \
-        == 3 + result.telemetry["bisect_steps"]
+        == 3 + result.telemetry["bisect_steps"] - result.telemetry["skipped_steps"]
     assert metrics["synthesis.lp_rows_max"] > 0
 
 

@@ -1,9 +1,22 @@
 import numpy as np
 import pytest
 
-from lpvsyn import ObfBasis, basis_selection_iterate, factor_rationals
+from lpvsyn import (FrequencyGrid, ObfBasis, basis_selection_iterate, bisect_gamma,
+                    factor_rationals, frozen_coprime_from_model, frozen_tf)
+from lpvsyn import selection, synthesis
 from lpvsyn.selection import (centers_to_basis, controller_root_samples,
                               project_into_disk)
+from conftest import OPERATING_POINTS, make_problem
+
+
+@pytest.fixture(scope="module")
+def losing_round_problem(model, k0, weights, sched_grid):
+    """The 16-line problem whose first selection round loses: its candidate
+    bases reach gamma 3.18 against 1.65 for the initial ones."""
+    grid = FrequencyGrid.log_spaced(0.05, 90.0, 16, model.sample_rate)
+    pairs = {p: frozen_coprime_from_model(frozen_tf(model, p), k0, grid)[0]
+             for p in OPERATING_POINTS}
+    return make_problem(pairs, weights, grid, sched_grid)
 
 
 class TestHelpers:
@@ -57,3 +70,35 @@ class TestIteration:
         pair, result = basis_selection_iterate(small_problem, 2)
         assert result.gamma <= small_lpv_result.gamma * (1 + 1e-9)
         assert isinstance(pair.n, ObfBasis) and isinstance(pair.d, ObfBasis)
+
+    def test_losing_round_costs_two_solves(self, monkeypatch, losing_round_problem):
+        # the candidate is feasible at gamma_hi and infeasible at the best
+        # gamma, so the round ends after two solves and the initial bases stay
+        problem = losing_round_problem
+        solve = synthesis.feasibility_solve
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(synthesis, "feasibility_solve", counting)
+        plain = bisect_gamma(problem)
+        plain_solves = len(calls)
+        rounds = []
+
+        def recording(candidate, **kwargs):
+            result = bisect_gamma(candidate, **kwargs)
+            rounds.append((candidate, kwargs, result))
+            return result
+
+        monkeypatch.setattr(selection, "bisect_gamma", recording)
+        calls.clear()
+        pair, result = basis_selection_iterate(problem, 1)
+        assert pair.n is problem.basis_n and pair.d is problem.basis_d
+        assert result.gamma == plain.gamma
+        assert len(calls) <= plain_solves + 2
+        (_, _, first), (candidate, kwargs, _) = rounds
+        assert kwargs == {"incumbent": first.gamma}
+        monkeypatch.undo()
+        assert bisect_gamma(candidate).gamma > plain.gamma

@@ -424,6 +424,99 @@ class TestBisection:
         monkeypatch.setattr(synthesis, "WORKING_ROWS", len(small_problem.grid))
         assert bisect_gamma(small_problem).gamma == small_lpv_result.gamma
 
+    def test_skipped_levels_match_plain_bisection(self, monkeypatch, small_problem,
+                                                  small_lpv_result):
+        # a plain bisection with one solve at every level gives the same gamma
+        # and bracket; every level bisect_gamma does not solve is held by the
+        # theta of its last feasible solve, verified there
+        options = small_problem.options
+        equalities = add_integral_action(small_problem)
+        warm = {}
+
+        def feasible(gamma):
+            out = feasibility_solve(assemble_constraints(small_problem, gamma),
+                                    equalities, options, warm=warm)
+            return out.status == "feasible"
+
+        lo, hi = options.gamma_lo, options.gamma_hi
+        assert feasible(hi) and not feasible(lo)
+        levels = []
+        while hi - lo > options.gamma_rtol * hi:
+            mid = 0.5 * (lo + hi)
+            levels.append(mid)
+            if feasible(mid):
+                hi = mid
+            else:
+                lo = mid
+        assert small_lpv_result.gamma == hi
+        assert small_lpv_result.telemetry["gamma_bracket"] == (lo, hi)
+        assert small_lpv_result.telemetry["bisect_steps"] == len(levels)
+
+        solve = synthesis.feasibility_solve
+        solved = {}
+
+        def recording(constraints, equalities, options, warm=None, _central=False):
+            out = solve(constraints, equalities, options, warm=warm, _central=_central)
+            if not _central:
+                solved[constraints[1]] = out  # keyed by gamma^-1
+            return out
+
+        monkeypatch.setattr(synthesis, "feasibility_solve", recording)
+        result = bisect_gamma(small_problem)
+        assert result.gamma == small_lpv_result.gamma
+        assert result.telemetry["gamma_bracket"] == small_lpv_result.telemetry["gamma_bracket"]
+        cmap = synthesis.constraint_map(small_problem)
+        held = solved[1.0 / options.gamma_hi].theta
+        skipped = 0
+        for mid in levels:
+            out = solved.get(1.0 / mid)
+            if out is not None:
+                if out.status == "feasible":
+                    held = out.theta
+                continue
+            skipped += 1
+            margins, _ = cmap.evaluate(held, 1.0 / mid, small_problem.eps)
+            assert margins.min() >= -1e-12
+        assert skipped >= 1
+        assert result.telemetry["skipped_steps"] == skipped
+        assert len(solved) == 2 + len(levels) - skipped
+
+    def test_incumbent_above_gamma_star_keeps_gamma(self, small_problem,
+                                                    small_lpv_result):
+        result = bisect_gamma(small_problem, incumbent=1.5 * small_lpv_result.gamma)
+        assert result.gamma == small_lpv_result.gamma
+        assert result.telemetry["gamma_bracket"] \
+            == small_lpv_result.telemetry["gamma_bracket"]
+        assert result.telemetry["theta_source"] == "central"
+        assert np.array_equal(small_problem.layout.pack(result.theta),
+                              small_problem.layout.pack(small_lpv_result.theta))
+
+    def test_infeasible_incumbent_returns_at_gamma_hi(self, monkeypatch, small_problem,
+                                                      small_lpv_result):
+        # below gamma* the incumbent solve is infeasible: no bisection and no
+        # central solve, the gamma_hi solve's theta stands
+        incumbent = 0.5 * small_lpv_result.gamma
+        solve = synthesis.feasibility_solve
+        record = []
+
+        def recording(*args, **kwargs):
+            out = solve(*args, **kwargs)
+            record.append(out)
+            return out
+
+        monkeypatch.setattr(synthesis, "feasibility_solve", recording)
+        result = bisect_gamma(small_problem, incumbent=incumbent)
+        gamma_hi = small_problem.options.gamma_hi
+        assert [out.status for out in record] == ["feasible", "infeasible"]
+        assert result.gamma == gamma_hi
+        assert np.array_equal(small_problem.layout.pack(result.theta), record[0].theta)
+        assert result.telemetry["theta_source"] == "warm"
+        assert result.telemetry["gamma_bracket"] == (incumbent, gamma_hi)
+        assert result.telemetry["bisect_steps"] == 0
+        assert result.telemetry["lp_solves"] == sum(out.telemetry["lp_solves"]
+                                                    for out in record)
+        assert result.margin_min() >= -1e-12
+
     def test_exhausted_central_solve_keeps_warm_theta(self, monkeypatch):
         # the central solve at gamma* needs 3 simplex LPs and 1 interior-point
         # LP here; with one cut round it runs out, and the bisection's
