@@ -10,6 +10,10 @@ grid frequency whose disc contains the origin, or a negative winding of the
 characteristic data (no stable multiplier can unwind it).  The grid winding
 counts encirclements only when the grid reaches 0 and pi or the data are real
 at both end lines; otherwise it is neither a witness nor compensated.
+
+The multiplier LP is the max-margin LP of ``synthesis``, solved through this
+module's ``linprog`` (``synthesis.linprog`` imported), so a tracer can wrap
+multiplier LPs apart from synthesis LPs by name.
 """
 from __future__ import annotations
 
@@ -17,13 +21,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .exceptions import SolverFailureError
 from .factorization import CHANNELS, ClosedLoopFactorData
 from .frfdata import FrequencyGrid
 from .obf import ObfBasis, eval_basis, laguerre_basis
 from .rational import RationalTf, internally_stable
+from .synthesis import _add_margin_rows, _gamma_inv, _max_margin_model, linprog
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,12 +91,8 @@ def _multiplier_lp(dtilde: np.ndarray, phi: np.ndarray, eps: float,
     if n_beta == 0:
         return np.zeros(0), float(base.min())
     coef = (dtilde[None, :] * phi[1:]).real      # (n_beta, n_rows)
-    a_ub = np.hstack([-coef.T, np.ones((base.size, 1))])
-    b_ub = base
-    cost = np.zeros(n_beta + 1)
-    cost[-1] = -1.0
-    bounds = [(-beta_bound, beta_bound)] * n_beta + [(None, None)]
-    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    model = _max_margin_model(n_beta, beta_bound)
+    res = linprog(model, A_ub=_add_margin_rows(model, -coef.T, base))
     if res.status == 2:
         return None, -math.inf
     if res.status != 0:
@@ -220,7 +220,7 @@ def check_performance(data: dict, weights_on_grid: dict, gamma: float,
     channels with one multiplier per operating point."""
     if not gamma > 0:
         raise ValueError("gamma must be positive")
-    gamma_inv = 0.0 if math.isinf(gamma) else 1.0 / gamma
+    gamma_inv = _gamma_inv(gamma)
     discs = {}
     for p, block in data.items():
         radii = {c: gamma_inv * np.abs(weights_on_grid[c] * block.numerator(c))

@@ -178,10 +178,6 @@ class SchedulingBasis:
             raise ValueError("empty scheduling range")
         object.__setattr__(self, "p_range", (float(lo), float(hi)))
 
-    @property
-    def kind(self) -> str:
-        return {1: "constant", 2: "affine"}.get(self.m, f"polynomial degree {self.m - 1}")
-
     @staticmethod
     def constant(p_range) -> "SchedulingBasis":
         return SchedulingBasis(1, tuple(p_range))

@@ -99,9 +99,6 @@ class RationalTf:
     def poles(self) -> np.ndarray:
         return np.roots(self.den) if self.den.size > 1 else np.zeros(0)
 
-    def zeros(self) -> np.ndarray:
-        return np.roots(self.num) if self.num.size > 1 else np.zeros(0)
-
     def is_stable(self, margin: float = 0.0) -> bool:
         p = self.poles()
         return bool(p.size == 0 or np.max(np.abs(p)) < 1.0 - margin)
@@ -121,15 +118,11 @@ class RationalTf:
 
     # -- filtering -------------------------------------------------------------
 
-    def filter_ba(self):
-        """(b, a) for scipy.signal.lfilter; num zero-padded to the den length."""
+    def filter(self, u: np.ndarray) -> np.ndarray:
+        # lfilter takes num zero-padded to the den length
         b = np.zeros(self.den.size)
         b[self.den.size - self.num.size:] = self.num
-        return b, self.den.copy()
-
-    def filter(self, u: np.ndarray) -> np.ndarray:
-        b, a = self.filter_ba()
-        return scipy.signal.lfilter(b, a, np.asarray(u, dtype=float))
+        return scipy.signal.lfilter(b, self.den, np.asarray(u, dtype=float))
 
     # -- algebra ---------------------------------------------------------------
 

@@ -36,8 +36,9 @@ simplex phase is deterministic and starts from the working set alone, so
 theta* still depends on gamma* alone, not on the search path
 (``theta_source`` "central"); if that solve runs out of cut rounds or finds
 no feasible theta, the verified theta of the bisection stands ("warm").
-Each LP goes through the module-level ``linprog`` so that a tracer can wrap
-it by name.
+Each LP here, and the multiplier LP of ``analysis``, is the max-margin LP of
+``_max_margin_model``, solved through a module-level ``linprog`` that a tracer
+wraps by name: ``synthesis.linprog`` here, the same as ``analysis.linprog``.
 """
 from __future__ import annotations
 
@@ -427,6 +428,26 @@ def _add_rows(model, a: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> Non
         raise SolverFailureError("HiGHS rejected the LP rows")
 
 
+def _max_margin_model(n_x: int, bound: float):
+    """HiGHS model of max t over columns (x, t), |x| <= bound and t free,
+    under ``_HIGHS_OPTIONS``."""
+    model = _hc._Highs()
+    for key, value in _HIGHS_OPTIONS:
+        model.setOptionValue(key, value)
+    bounds = np.full(n_x + 1, bound)
+    bounds[-1] = _hc.kHighsInf
+    model.addVars(n_x + 1, -bounds, bounds)
+    model.changeColCost(n_x, -1.0)
+    return model
+
+
+def _add_margin_rows(model, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Append the rows [a, 1] (x, t) <= b; returns [a, 1]."""
+    a_ub = np.hstack([a, np.ones((b.size, 1))])
+    _add_rows(model, a_ub, np.full(b.size, -_hc.kHighsInf), b)
+    return a_ub
+
+
 def _working_set(cmap: ConstraintMap, carried) -> tuple:
     """(rows, cos, sin) labels that start a solve: the planes at every angle
     of ``_BASE_ANGLES`` on ``WORKING_ROWS`` evenly spaced frequency rows of
@@ -482,24 +503,16 @@ def feasibility_solve(constraints: tuple, equalities=None,
     """
     options = options or SynthesisOptions()
     cmap, gamma_inv, eps = constraints
-    n_theta = cmap.D.shape[1]
     labels = _working_set(cmap, warm.get("labels") if warm else None)
     a_base, b_base = cmap.tangent_rows(*labels, gamma_inv, eps)
 
     # columns theta, then the margin t; maximize t.  Rows: equalities, the
     # base planes a theta + t <= b, then the cuts of each round.
-    model = _hc._Highs()
-    for key, value in _HIGHS_OPTIONS:
-        model.setOptionValue(key, value)
-    bound = np.full(n_theta + 1, options.theta_bound)
-    bound[-1] = _hc.kHighsInf
-    model.addVars(n_theta + 1, -bound, bound)
-    model.changeColCost(n_theta, -1.0)
+    model = _max_margin_model(cmap.D.shape[1], options.theta_bound)
     if equalities is not None:
         a_eq, b_eq = equalities
         _add_rows(model, np.hstack([a_eq, np.zeros((b_eq.size, 1))]), b_eq, b_eq)
-    a_ub = np.hstack([a_base, np.ones((b_base.size, 1))])
-    _add_rows(model, a_ub, np.full(b_base.size, -_hc.kHighsInf), b_base)
+    a_ub = _add_margin_rows(model, a_base, b_base)
 
     lp_solves = 0
     ipm_lps = 0
@@ -539,10 +552,8 @@ def feasibility_solve(constraints: tuple, equalities=None,
         # exact-phase cuts: planes touching each violated disc at its phase
         phases = np.angle(cmap.apply(cmap.N, cmap.n0, bad, theta))
         cut = (bad, np.cos(phases), np.sin(phases))
-        a_new, b_new = cmap.tangent_rows(*cut, gamma_inv, eps)
-        a_new = np.hstack([a_new, np.ones((bad.size, 1))])
-        _add_rows(model, a_new, np.full(bad.size, -_hc.kHighsInf), b_new)
-        a_ub = np.vstack([a_ub, a_new])
+        a_ub = np.vstack([a_ub, _add_margin_rows(
+            model, *cmap.tangent_rows(*cut, gamma_inv, eps))])
         labels = tuple(np.concatenate(pair) for pair in zip(labels, cut))
         cuts_added += bad.size
     raise CutRoundsExhaustedError("cutting-plane refinement did not converge", lp_solves)

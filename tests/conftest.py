@@ -38,6 +38,14 @@ def closed_loop_pole_moduli(g, k):
     return mods
 
 
+def lightly_damped_dp(grid):
+    """Characteristic data whose real part dips negative near the lightly
+    damped minimum-phase pair 0.95 e^{+-i}: only a nontrivial multiplier
+    certifies it."""
+    pole = 0.95 * np.exp(1.0j)
+    return (grid.z - pole) * (grid.z - np.conj(pole)) / grid.z ** 2
+
+
 @pytest.fixture(scope="session")
 def model():
     return default_surrogate()

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from scipy.optimize import linprog as scipy_linprog
 
-from lpvsyn import (FrequencyGrid, ObfBasis, RationalTf, characteristic_data,
+from lpvsyn import (FrequencyGrid, ObfBasis, RationalTf, analysis, characteristic_data,
                     check_performance, check_stability, closed_loop_data,
                     compute_achieved_gamma, grid_winding, oracle_stability)
-from lpvsyn.analysis import winding_trusted
+from lpvsyn.analysis import _escalation_bases, _multiplier_lp, winding_trusted
+from lpvsyn.exceptions import SolverFailureError
 from lpvsyn.factorization import ClosedLoopFactorData
+from lpvsyn.obf import eval_basis
 from lpvsyn.rational import closed_loop_char_poly
-from conftest import closed_loop_pole_moduli, random_proper_tf
+from conftest import closed_loop_pole_moduli, lightly_damped_dp, random_proper_tf
 
 
 @pytest.fixture(scope="module")
@@ -94,9 +97,7 @@ class TestCheckStability:
 
     def test_pinned_basis_can_be_inconclusive(self, grid512):
         # real part dips negative, and the pinned trivial basis cannot tilt it
-        pole = 0.95 * np.exp(1.0j)
-        dp = (grid512.z - pole) * (grid512.z - np.conj(pole)) / grid512.z ** 2
-        cert = check_stability({0.0: dp}, grid512,
+        cert = check_stability({0.0: lightly_damped_dp(grid512)}, grid512,
                                basis=ObfBasis(np.zeros(0, dtype=complex)))
         assert cert.status == "inconclusive"
         assert cert.detail["failed_at"] == 0.0
@@ -119,6 +120,45 @@ class TestCheckStability:
                                    grid512)
             assert (cert.status == "certified") == stable
         assert checked >= 25
+
+
+class TestMultiplierLp:
+    def test_matches_scipy_linprog_on_every_rung(self, grid512):
+        # scipy's linprog wrapper (presolve on) as an independent oracle of
+        # the max-margin LP, on every rung of the ladder with both signs
+        dp = lightly_damped_dp(grid512)
+        worst = float(grid512.omegas[np.argmin(dp.real)])
+        rungs = 0
+        for basis in _escalation_bases(grid512, worst):
+            phi = eval_basis(basis, grid512)
+            n_beta = phi.shape[0] - 1
+            cost = np.zeros(n_beta + 1)
+            cost[-1] = -1.0
+            for sign in (1.0, -1.0):
+                dtilde = sign * dp
+                beta, t_star = _multiplier_lp(dtilde, phi, 1e-9)
+                coef = (dtilde[None, :] * phi[1:]).real
+                a_ub = np.hstack([-coef.T, np.ones((dp.size, 1))])
+                ref = scipy_linprog(cost, A_ub=a_ub, b_ub=dtilde.real,
+                                    bounds=[(-1e6, 1e6)] * n_beta + [(None, None)],
+                                    method="highs")
+                assert ref.status == 0
+                assert t_star == pytest.approx(-ref.fun, rel=1e-9)
+                assert np.max(np.abs(beta)) <= 1e6
+                rungs += 1
+        assert rungs == 12
+
+    def test_unfinished_lp_raises_not_inconclusive(self, grid512, monkeypatch):
+        # a multiplier LP stopped by its iteration limit has decided nothing
+        solve = analysis.linprog
+
+        def limited(model, *, A_ub):
+            model.setOptionValue("simplex_iteration_limit", 0)
+            return solve(model, A_ub=A_ub)
+
+        monkeypatch.setattr(analysis, "linprog", limited)
+        with pytest.raises(SolverFailureError, match="multiplier LP failed"):
+            check_stability({0.0: lightly_damped_dp(grid512)}, grid512)
 
 
 class TestCheckPerformance:
@@ -220,10 +260,7 @@ class TestComputeAchievedGamma:
 
 class TestAbsorption:
     def test_stability_absorption_preserves_margins(self, grid512):
-        # data needing a nontrivial multiplier: Re dips negative near the
-        # lightly damped minimum-phase pair
-        pole = 0.95 * np.exp(1.0j)
-        base = (grid512.z - pole) * (grid512.z - np.conj(pole)) / grid512.z ** 2
+        base = lightly_damped_dp(grid512)
         cert = check_stability({0.0: base}, grid512)
         assert cert.certified
         assert cert.multipliers[0.0].beta.size > 0

@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import unstable_plant_problem
-from lpvsyn import cli
+from conftest import lightly_damped_dp, unstable_plant_problem
+from lpvsyn import FrequencyGrid, analysis, cli, synthesis
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -88,6 +88,24 @@ def test_tracer_counts_every_synthesis_lp(tracer):
     assert metrics["synthesis.feasibility_solves"] \
         == 3 + result.telemetry["bisect_steps"] - result.telemetry["skipped_steps"]
     assert metrics["synthesis.lp_rows_max"] > 0
+
+
+def test_tracer_counts_multiplier_lps_apart_from_synthesis_lps(tracer):
+    # analysis.linprog and synthesis.linprog are one function, wrapped under
+    # two names; the benchmark's paper-data checks (no synthesis LP, at least
+    # one multiplier LP) rely on each call landing under its own module's name
+    assert analysis.linprog is synthesis.linprog
+    grid = FrequencyGrid(np.linspace(1e-3, np.pi - 1e-9, 512))
+    rec = tracer.Tracer()
+    rec.install()
+    try:
+        cert = cli.check_stability({0.0: lightly_damped_dp(grid)}, grid)
+    finally:
+        rec.uninstall()
+    assert cert.certified and cert.multipliers[0.0].beta.size > 0
+    metrics = tracer.layer_metrics(rec.spans)
+    assert metrics["analysis.multiplier_lps"] >= 1
+    assert metrics["synthesis.lp_solves"] == 0
 
 
 @pytest.mark.parametrize("path", sorted((PERFBENCH / "configs").glob("*.json")),
