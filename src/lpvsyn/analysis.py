@@ -83,8 +83,7 @@ def winding_trusted(values: np.ndarray, grid: FrequencyGrid) -> bool:
     return bool(np.all(np.abs(ends.imag) <= WINDING_TOL * np.abs(ends)))
 
 
-def _multiplier_lp(dtilde: np.ndarray, phi: np.ndarray, eps: float,
-                   beta_bound: float = 1e6):
+def _multiplier_lp(dtilde: np.ndarray, phi: np.ndarray, beta_bound: float = 1e6):
     """max t s.t. Re{dtilde (1 + beta phi)} >= t rowwise; returns (beta, t)."""
     n_beta = phi.shape[0] - 1
     base = dtilde.real
@@ -138,7 +137,7 @@ def _certify(rows_per_p: dict, grid: FrequencyGrid, eps: float,
         reps = dtilde.size // len(grid)
         phis = ((cand, np.tile(eval_basis(cand, grid), (1, reps))) for cand in ladder)
         for (cand, phi), sign in ((cp, s) for cp in phis for s in (first_sign, -first_sign)):
-            beta, t_star = _multiplier_lp(sign * dtilde, phi, eps)
+            beta, t_star = _multiplier_lp(sign * dtilde, phi)
             if beta is None or t_star < eps:
                 continue
             alpha = sign * (phi[0] + beta @ phi[1:])

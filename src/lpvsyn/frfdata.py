@@ -182,27 +182,55 @@ def default_scheduling_range(points) -> tuple:
 
 
 _ROWS_PER_WRITE = 1024
+_SIGN_BIT = np.uint64(1 << 63)
+
+
+def _column_strings(segments) -> list:
+    """The shortest round-trip repr of every entry of each float64 segment.
+    A segment that is an earlier one's bits with the sign bit flipped, and
+    holds no NaN, takes that segment's strings with the sign flipped: IEEE
+    negation is exact and repr is sign-symmetric except for NaN.  A segment
+    whose bits are all equal is formatted once."""
+    done = []  # (bits, strings) of the segments before this one
+    for seg in segments:
+        bits = seg.view(np.uint64)
+        negated = bits ^ _SIGN_BIT
+        for prev_bits, prev_strings in done:
+            if np.array_equal(negated, prev_bits) and not np.isnan(seg).any():
+                strings = [s[1:] if s[0] == "-" else "-" + s for s in prev_strings]
+                break
+        else:
+            strings = ([repr(float(seg[0]))] * len(seg) if (bits == bits[0]).all()
+                       else list(map(repr, seg.tolist())))
+        done.append((bits, strings))
+    return [strings for _, strings in done]
 
 
 def write_table(path, header, blocks) -> None:
     """Write a CSV table: the ``header`` names, then for every block
-    ``(labels, columns)`` one row per entry of its equal-length columns,
-    holding the labels and the shortest round-trip repr of that entry of
-    every column.  Comma separated with CRLF line ends, byte-equal to what
-    the csv module writes; labels that it would quote raise ValueError.
-    Rows are formatted a bounded number at a time, so memory stays flat."""
-    blocks = list(blocks)
-    for label in (label for labels, _ in blocks for label in labels):
-        if any(c in label for c in ',"\r\n'):
-            raise ValueError(f"table label {label!r} would need quoting")
+    ``(labels, columns)`` one row per entry of its equal-length float
+    columns, holding the labels and the shortest round-trip repr of that
+    entry of every column.  Comma separated with CRLF line ends, byte-equal
+    to what the csv module writes; labels that it would quote raise
+    ValueError.  Rows are formatted column by column, ``_ROWS_PER_WRITE`` at
+    a time, so memory stays flat; within those rows a constant column, or
+    one that negates an earlier column, is formatted once (same bytes)."""
+    blocks = [(labels, [np.asarray(col, dtype=np.float64) for col in columns])
+              for labels, columns in blocks]
+    for labels, columns in blocks:
+        for label in labels:
+            if any(c in label for c in ',"\r\n'):
+                raise ValueError(f"table label {label!r} would need quoting")
+        if not columns or any(col.shape != (columns[0].size,) for col in columns):
+            raise ValueError("a table block needs equal-length 1-d columns")
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for labels, columns in blocks:
-            prefix = "".join(f"{label}," for label in labels)
-            table = np.column_stack(columns)
-            for lo in range(0, len(table), _ROWS_PER_WRITE):
-                fh.writelines(prefix + ",".join(map(repr, row)) + "\r\n"
-                              for row in table[lo:lo + _ROWS_PER_WRITE].tolist())
+            for lo in range(0, columns[0].size, _ROWS_PER_WRITE):
+                strings = _column_strings(col[lo:lo + _ROWS_PER_WRITE] for col in columns)
+                label_lists = [[label] * len(strings[0]) for label in labels]
+                fh.write("\r\n".join(map(",".join, zip(*label_lists, *strings))))
+                fh.write("\r\n")
 
 
 def read_table(path, header, n_labels: int = 0):

@@ -136,7 +136,7 @@ class TestMultiplierLp:
             cost[-1] = -1.0
             for sign in (1.0, -1.0):
                 dtilde = sign * dp
-                beta, t_star = _multiplier_lp(dtilde, phi, 1e-9)
+                beta, t_star = _multiplier_lp(dtilde, phi)
                 coef = (dtilde[None, :] * phi[1:]).real
                 a_ub = np.hstack([-coef.T, np.ones((dp.size, 1))])
                 ref = scipy_linprog(cost, A_ub=a_ub, b_ub=dtilde.real,

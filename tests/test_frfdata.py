@@ -10,6 +10,7 @@ from lpvsyn import (FrequencyGrid, FrfDataset, FrfResponse, SchedulingGrid,
                     TimeRecord, closed_loop_to_plant, etfe_estimate,
                     load_dataset, save_dataset)
 from lpvsyn.exceptions import DataFormatError, EstimationError
+from lpvsyn.frfdata import write_table
 from lpvsyn.rational import RationalTf, closed_loop_maps
 
 
@@ -104,6 +105,13 @@ class TestDatasetIO:
         with pytest.raises(ValueError, match="would need quoting"):
             save_dataset(ds, tmp_path / "ds.csv")
         assert not (tmp_path / "ds.csv").exists()
+
+    @pytest.mark.parametrize("columns", [[], [np.zeros(3), np.zeros(2)], [np.zeros((2, 2))]],
+                             ids=["none", "unequal", "2-d"])
+    def test_malformed_table_block_rejected(self, tmp_path, columns):
+        with pytest.raises(ValueError, match="equal-length 1-d columns"):
+            write_table(tmp_path / "t.csv", ("a", "b"), [(("G",), columns)])
+        assert not (tmp_path / "t.csv").exists()
 
     def test_three_point_file_has_three_scheduling_points(self, tmp_path):
         ds = make_dataset(make_grid())

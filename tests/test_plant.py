@@ -12,6 +12,7 @@ from lpvsyn import (FrequencyGrid, FrfDataset, FrfResponse, LpvSurrogateModel,
                     load_trace, save_dataset, save_trace, simulate_lpv)
 from lpvsyn import _kernels
 from lpvsyn.exceptions import SimulationDivergedError, StabilizationError
+from lpvsyn.frfdata import write_table
 from lpvsyn.rational import RationalTf, statespace_response
 from recursion_oracle import controllable_canonical, lpv_recursion
 
@@ -275,9 +276,10 @@ class TestTrace:
         return path.read_bytes()
 
     @staticmethod
-    def trace_round_trip(path, signals, rng):
+    def trace_round_trip(path, signals, rng, p=None):
         n = signals.shape[1]
-        tr = Trace(*signals, 30.0 + 20.0 * rng.random(n), 200.0, (30.0, 50.0))
+        p = 30.0 + 20.0 * rng.random(n) if p is None else p
+        tr = Trace(*signals, p, 200.0, (30.0, 50.0))
         save_trace(tr, path)
         back = load_trace(path, (30.0, 50.0))
         assert len(back) == n
@@ -318,6 +320,67 @@ class TestTrace:
         path = tmp_path / f"{kind}.csv"
         round_trip = self.trace_round_trip if kind == "trace" else self.dataset_round_trip
         header, rows = round_trip(path, signals, rng)
+        assert path.read_bytes() == self.csv_module_bytes(tmp_path / "ref.csv",
+                                                          header, rows)
+
+    @staticmethod
+    def reuse_case(name):
+        """Columns, in write order, for one case of the writer's reuse rules:
+        a constant column is formatted once per 1024-row block, and a
+        NaN-free column that negates an earlier one flips its strings."""
+        block = 1024
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal(2 * block)
+        zeros = np.where(np.arange(2 * block) % 3, 0.0, -0.0)
+        if name == "mixed_zeros":
+            return [x, zeros, -zeros]
+        if name == "all_neg_zero_and_nan":
+            # a value comparison pairs the two -0.0 columns as a negation;
+            # without the NaN guard the sign-flipped NaN column prints -nan
+            nan = np.full(2 * block, np.nan)
+            return [np.full(2 * block, -0.0), np.full(2 * block, -0.0),
+                    nan, np.copysign(nan, -1.0)]
+        if name == "negated_inf_and_zeros":
+            x[:6] = [np.inf, -np.inf, 0.0, -0.0, 5e-324, -1e300]
+            x[block:block + 4] = [-0.0, 0.0, -np.inf, np.inf]
+            # equal in value to -x, but its zeros keep the signs of x's zeros
+            value_negated = np.where(x == 0.0, x, -x)
+            return [x, -x, value_negated]
+        if name == "negated_nan":
+            x[[3, block + 5]] = np.nan
+            return [x, -x]
+        if name == "constant_then_not":
+            return [x, np.concatenate([np.zeros(block), zeros[:block]])]
+        if name == "ragged_rows":
+            # the last block has 37 rows, and only there do the zeros mix signs
+            longer = np.resize(x, 2 * block + 37)
+            tail = np.zeros(longer.size)
+            tail[-37:] = zeros[:37]
+            return [longer, -longer, np.full(longer.size, 40.0), tail]
+        raise AssertionError(name)
+
+    @pytest.mark.parametrize("name", ["mixed_zeros", "all_neg_zero_and_nan",
+                                      "negated_inf_and_zeros", "negated_nan",
+                                      "constant_then_not", "ragged_rows"])
+    def test_column_reuse_matches_csv_module(self, tmp_path, name):
+        columns = self.reuse_case(name)
+        header = ["k"] + [f"c{i}" for i in range(len(columns))]
+        path = tmp_path / "table.csv"
+        write_table(path, header, [(("G",), columns)])
+        rows = [(("G",), row) for row in zip(*columns)]
+        assert path.read_bytes() == self.csv_module_bytes(tmp_path / "ref.csv",
+                                                          header, rows)
+
+    def test_generate_layout_matches_csv_module_and_reads_back_exactly(self, tmp_path):
+        # generate writes r = 0, e = -y and a constant p; 3000 rows span
+        # several write blocks, and zeros in y put -0.0 in e
+        n = 3000
+        rng = np.random.default_rng(3)
+        u, d, y = rng.standard_normal((3, n))
+        y[::7] = 0.0
+        path = tmp_path / "trace.csv"
+        header, rows = self.trace_round_trip(path, np.array([np.zeros(n), -y, u, d, y]),
+                                             rng, p=np.full(n, 40.0))
         assert path.read_bytes() == self.csv_module_bytes(tmp_path / "ref.csv",
                                                           header, rows)
 
