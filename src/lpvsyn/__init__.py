@@ -8,7 +8,7 @@ against the plant.
 """
 from .analysis import (Certificate, MultiplierParameters, absorb_multiplier,
                        check_performance, check_stability,
-                       compute_achieved_gamma, grid_winding, oracle_stability)
+                       compute_achieved_gamma, grid_winding)
 from .exceptions import (ConfigError, CutRoundsExhaustedError, DataFormatError,
                          EstimationError, LpvsynError, SimulationDivergedError,
                          SolverFailureError, StabilizationError,

@@ -1,5 +1,6 @@
-"""A-posteriori certificates: stability and performance multiplier tests,
-direct achieved-performance evaluation, and a symbolic ground-truth oracle.
+"""A-posteriori certificates: stability and performance multiplier tests and
+direct achieved-performance evaluation.  The symbolic ground truth for a
+frozen loop is ``rational.internally_stable``.
 
 The grid test asks for a stable multiplier alpha with Re{(D_p - r_c) alpha} > 0
 at every grid frequency, where r_c = gamma^{-1} |W_c N_p^c| (zero radius for
@@ -26,7 +27,6 @@ from .exceptions import SolverFailureError
 from .factorization import CHANNELS, ClosedLoopFactorData
 from .frfdata import FrequencyGrid
 from .obf import ObfBasis, eval_basis, laguerre_basis
-from .rational import RationalTf, internally_stable
 from .synthesis import _add_margin_rows, _gamma_inv, _max_margin_model, linprog
 
 
@@ -64,6 +64,7 @@ class Certificate:
 
 
 WINDING_TOL = 1e-2
+BETA_BOUND = 1e6  # box on the multiplier coefficients; keeps the LP bounded
 
 
 def grid_winding(values: np.ndarray) -> int:
@@ -83,14 +84,14 @@ def winding_trusted(values: np.ndarray, grid: FrequencyGrid) -> bool:
     return bool(np.all(np.abs(ends.imag) <= WINDING_TOL * np.abs(ends)))
 
 
-def _multiplier_lp(dtilde: np.ndarray, phi: np.ndarray, beta_bound: float = 1e6):
+def _multiplier_lp(dtilde: np.ndarray, phi: np.ndarray):
     """max t s.t. Re{dtilde (1 + beta phi)} >= t rowwise; returns (beta, t)."""
     n_beta = phi.shape[0] - 1
     base = dtilde.real
     if n_beta == 0:
         return np.zeros(0), float(base.min())
     coef = (dtilde[None, :] * phi[1:]).real      # (n_beta, n_rows)
-    model = _max_margin_model(n_beta, beta_bound)
+    model = _max_margin_model(n_beta, BETA_BOUND)
     res = linprog(model, A_ub=_add_margin_rows(model, -coef.T, base))
     if res.status == 2:
         return None, -math.inf
@@ -250,8 +251,3 @@ def absorb_multiplier(block: ClosedLoopFactorData,
     return ClosedLoopFactorData(
         d_p=block.d_p * alpha, n_s=block.n_s * alpha, n_gs=block.n_gs * alpha,
         n_ks=block.n_ks * alpha, n_t=block.n_t * alpha)
-
-
-def oracle_stability(g: RationalTf, k_frozen: RationalTf) -> bool:
-    """Symbolic internal-stability oracle for a frozen loop."""
-    return internally_stable(g, k_frozen)

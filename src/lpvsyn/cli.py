@@ -183,7 +183,7 @@ def _weights_from_config(cfg: dict, sample_rate: float) -> WeightSet:
 def _sched_basis_from_config(cfg: dict, p_range) -> SchedulingBasis:
     syn = cfg["synthesis"]
     kind = syn["scheduling.kind"]
-    if kind in ("constant", "lti"):
+    if kind == "constant":
         return SchedulingBasis.constant(p_range)
     if kind == "affine":
         return SchedulingBasis.affine(p_range)
@@ -234,21 +234,25 @@ def controller_to_dict(params: ControllerParameters, sample_rate: float) -> dict
     }
 
 
-def controller_from_dict(raw: dict) -> tuple:
+def controller_from_dict(raw: dict, sample_rate: float) -> ControllerParameters:
+    """The controller of ``raw``; raises ConfigError if it was synthesized at
+    a sample rate other than ``sample_rate``."""
+    if float(raw["sample_rate"]) != sample_rate:
+        raise ConfigError(f"controller sample rate {raw['sample_rate']} differs "
+                          f"from the sample rate {sample_rate} in use")
     sched = SchedulingBasis(int(raw["scheduling"]["m"]),
                             tuple(raw["scheduling"]["range"]))
     basis_n = ObfBasis(np.array([complex(re, im) for re, im in raw["basis_n_poles"]]))
     basis_d = ObfBasis(np.array([complex(re, im) for re, im in raw["basis_d_poles"]]))
-    params = ControllerParameters(np.array(raw["wbar"]), np.array(raw["vbar"]),
-                                  basis_n, basis_d, sched)
-    return params, float(raw["sample_rate"])
+    return ControllerParameters(np.array(raw["wbar"]), np.array(raw["vbar"]),
+                                basis_n, basis_d, sched)
 
 
-def load_controller(path) -> tuple:
+def load_controller(path, sample_rate: float) -> ControllerParameters:
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"controller file {p} does not exist")
-    return controller_from_dict(json.loads(p.read_text()))
+    return controller_from_dict(json.loads(p.read_text()), sample_rate)
 
 
 # ---------------------------------------------------------------------------
@@ -363,10 +367,14 @@ def estimate(ctx):
     click.echo(f"wrote {out / 'dataset.csv'}")
 
 
+def _coprime_pairs(dataset: FrfDataset) -> dict:
+    """Operating point -> the dataset's (N_G, D_G) factor pair."""
+    return {p: CoprimeFrfPair(dataset.response(p, "N_G"), dataset.response(p, "D_G"))
+            for p in map(float, dataset.scheduling_grid.points)}
+
+
 def _problem_from_dataset(cfg: dict, dataset: FrfDataset) -> SynthesisProblem:
-    points = [float(p) for p in dataset.scheduling_grid.points]
-    pairs = {p: CoprimeFrfPair(dataset.response(p, "N_G"), dataset.response(p, "D_G"))
-             for p in points}
+    pairs = _coprime_pairs(dataset)
     p_range = dataset.scheduling_grid.range
     syn = cfg["synthesis"]
     basis_n = laguerre_basis(float(syn["obf.pole"]), syn["obf.order_n"])
@@ -380,10 +388,11 @@ def _problem_from_dataset(cfg: dict, dataset: FrfDataset) -> SynthesisProblem:
 
 def _closed_loop(cfg: dict, dataset: FrfDataset, params: ControllerParameters):
     """Grid, weights on it and per-point closed-loop data of a controller on
-    the dataset's synthesis problem."""
-    problem = _problem_from_dataset(cfg, dataset)
-    grid = problem.grid
-    return grid, problem.weights.on_grid(grid), closed_loop_data(problem, params)
+    the dataset's factor pairs.  The controller carries its own bases, so of
+    the synthesis settings only the weights enter."""
+    grid = dataset.grid
+    weights = _weights_from_config(cfg, grid.sample_rate).on_grid(grid)
+    return grid, weights, closed_loop_data(_coprime_pairs(dataset), params)
 
 
 def result_to_dict(result: SynthesisResult, sample_rate: float) -> dict:
@@ -432,8 +441,9 @@ def analyze(ctx, controller_file, gamma):
     """Certify stability and performance of a controller at a given gamma."""
     cfg = ctx.obj["cfg"]
     out = _out_dir(cfg)
-    dataset = load_dataset(out / "dataset.csv", sample_rate=_data_sample_rate(cfg))
-    params, _ = load_controller(controller_file)
+    fs = _data_sample_rate(cfg)
+    dataset = load_dataset(out / "dataset.csv", sample_rate=fs)
+    params = load_controller(controller_file, fs)
     grid, weights, data = _closed_loop(cfg, dataset, params)
     stab = check_stability({p: block.d_p for p, block in data.items()}, grid)
     perf = check_performance(data, weights, gamma, grid)
@@ -474,8 +484,8 @@ def simulate(ctx, controller_file):
     cfg = ctx.obj["cfg"]
     out = _out_dir(cfg)
     model = _model_from_config(cfg)
-    params, _ = load_controller(controller_file)
-    ctrl = build_lfr(params, model.sample_rate)
+    params = load_controller(controller_file, model.sample_rate)
+    ctrl = build_lfr(params)
     scn = cfg["scenario"]
     fs = model.sample_rate
     n = int(round(float(scn["duration_s"]) * fs))
@@ -514,10 +524,10 @@ def report(ctx):
                           "run generate and synthesize first")
     dataset = load_dataset(dataset_path, sample_rate=fs)
     payload = json.loads(result_path.read_text())
-    params, _ = controller_from_dict(payload["controller"])
+    params = controller_from_dict(payload["controller"], fs)
     gamma = float(payload["gamma"])
     grid, weights, data = _closed_loop(cfg, dataset, params)
-    ctrl = build_lfr(params, fs)
+    ctrl = build_lfr(params)
 
     polar_fields = ("p", "omega", "hz", "mag", "phase_deg")
 

@@ -33,12 +33,6 @@ class CoprimeFrfPair:
     def grid(self) -> FrequencyGrid:
         return self.n_g.grid
 
-    def plant_response(self, threshold: float = 1e-8) -> np.ndarray:
-        d = self.d_g.values
-        if np.any(np.abs(d) <= threshold):
-            raise ValueError("D_G too small to recover the plant response")
-        return self.n_g.values / d
-
 
 @dataclass(frozen=True, eq=False)
 class BezoutWitness:

@@ -278,13 +278,11 @@ def save_dataset(dataset: FrfDataset, path) -> None:
     write_table(path, _FIELDS, blocks)
 
 
-def load_dataset(path, sample_rate: float | None = None,
-                 scheduling_range: tuple | None = None) -> FrfDataset:
+def load_dataset(path, sample_rate: float | None = None) -> FrfDataset:
     """Load a dataset written by :func:`save_dataset`.
 
     The file carries no sample rate: ``sample_rate`` defaults to 1.0.  The
-    scheduling range defaults to :func:`default_scheduling_range` of the
-    points found.
+    scheduling range is :func:`default_scheduling_range` of the points found.
     """
     path = Path(path)
     if not path.exists():
@@ -317,8 +315,7 @@ def load_dataset(path, sample_rate: float | None = None,
             np.ascontiguousarray(values[idx, 2:]).view(complex)[:, 0], grid)
 
     points = sorted({p for (p, _) in entries})
-    rng = scheduling_range or default_scheduling_range(points)
-    sched = SchedulingGrid(np.array(points), rng)
+    sched = SchedulingGrid(np.array(points), default_scheduling_range(points))
     return FrfDataset(entries, grid, sched)
 
 
@@ -398,16 +395,20 @@ def etfe_estimate(input: TimeRecord, output: TimeRecord, grid: FrequencyGrid,
     return FrfResponse(re + 1j * im, grid)
 
 
-def closed_loop_to_plant(sens: FrfResponse, proc_sens: FrfResponse,
-                         threshold: float = 1e-8) -> FrfResponse:
-    """Recover the plant response as proc_sens / sens, pointwise."""
+SENSITIVITY_FLOOR = 1e-8
+
+
+def closed_loop_to_plant(sens: FrfResponse, proc_sens: FrfResponse) -> FrfResponse:
+    """Recover the plant response as proc_sens / sens, pointwise; raises
+    EstimationError where |sens| <= ``SENSITIVITY_FLOOR``."""
     if sens.grid is not proc_sens.grid and not np.array_equal(
             sens.grid.omegas, proc_sens.grid.omegas):
         raise ValueError("responses must share the frequency grid")
     mag = np.abs(sens.values)
-    bad = mag <= threshold
+    bad = mag <= SENSITIVITY_FLOOR
     if np.any(bad):
         raise EstimationError(
-            f"sensitivity magnitude below {threshold:g} at {int(bad.sum())} frequencies",
+            f"sensitivity magnitude below {SENSITIVITY_FLOOR:g} at {int(bad.sum())} "
+            "frequencies",
             frequencies=list(sens.grid.omegas[bad]))
     return FrfResponse(proc_sens.values / sens.values, sens.grid)

@@ -26,6 +26,8 @@ from .rational import statespace_response
 from .synthesis import ControllerParameters
 
 OVERFLOW_LIMIT = 1e12
+REFERENCE_FILTER_ORDER = 3   # Butterworth low-pass of the tracking reference
+SCHEDULING_SMOOTH_HZ = 2.0   # first-order smoothing of the square scheduling
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,18 +39,17 @@ class LfrController:
     a_d: np.ndarray
     b_d: np.ndarray
     params: ControllerParameters
-    sample_rate: float
 
     @property
     def state_dim(self) -> int:
         return self.a_n.shape[0] + self.a_d.shape[0]
 
 
-def build_lfr(params: ControllerParameters, sample_rate: float = 1.0) -> LfrController:
+def build_lfr(params: ControllerParameters) -> LfrController:
     """Realize the controller parameter tensor as an executable LFR."""
     bank_n = realize_bank(params.basis_n)
     bank_d = realize_bank(params.basis_d)
-    return LfrController(bank_n.a, bank_n.b, bank_d.a, bank_d.b, params, sample_rate)
+    return LfrController(bank_n.a, bank_n.b, bank_d.a, bank_d.b, params)
 
 
 def frozen_lfr_matrices(ctrl: LfrController, p):
@@ -212,29 +213,27 @@ def step_metrics(trace: Trace) -> dict:
 # scenario generators
 # ---------------------------------------------------------------------------
 
-def square_wave(n: int, period_samples: int, low: float, high: float,
-                phase: int = 0) -> np.ndarray:
-    k = (np.arange(n) + phase) % period_samples
+def square_wave(n: int, period_samples: int, low: float, high: float) -> np.ndarray:
+    k = np.arange(n) % period_samples
     return np.where(k < period_samples // 2, high, low)
 
 
 def filtered_square_reference(n: int, sample_rate: float, amplitude: float,
-                              period_s: float, cutoff_hz: float = 0.7,
-                              order: int = 3) -> TimeRecord:
+                              period_s: float, cutoff_hz: float = 0.7) -> TimeRecord:
     """Square wave through a low-pass filter, the tracking scenario shape."""
     raw = square_wave(n, max(2, int(round(period_s * sample_rate))),
                       -amplitude, amplitude)
-    b, a = scipy.signal.butter(order, cutoff_hz / (0.5 * sample_rate))
+    b, a = scipy.signal.butter(REFERENCE_FILTER_ORDER, cutoff_hz / (0.5 * sample_rate))
     return TimeRecord(scipy.signal.lfilter(b, a, raw), sample_rate, "r")
 
 
-def square_scheduling(n: int, sample_rate: float, p_range, period_s: float,
-                      smooth_hz: float = 2.0) -> TimeRecord:
+def square_scheduling(n: int, sample_rate: float, p_range,
+                      period_s: float) -> TimeRecord:
     """Square scheduling trajectory between the range endpoints, first-order
     smoothed and clipped so it never leaves the range."""
     lo, hi = p_range
     raw = square_wave(n, max(2, int(round(period_s * sample_rate))), lo, hi)
-    zd = math.exp(-2.0 * math.pi * smooth_hz / sample_rate)
+    zd = math.exp(-2.0 * math.pi * SCHEDULING_SMOOTH_HZ / sample_rate)
     smoothed = scipy.signal.lfilter([1.0 - zd], [1.0, -zd], raw - lo) + lo
     return TimeRecord(np.clip(smoothed, lo, hi), sample_rate, "p")
 

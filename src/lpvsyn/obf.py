@@ -213,22 +213,24 @@ def scheduling_eval(basis: SchedulingBasis, p) -> np.ndarray:
 # fuzzy c-means pole clustering
 # ---------------------------------------------------------------------------
 
-def cluster_poles(samples, c: int, fuzziness: float = 2.0,
-                  tol: float = 1e-9, max_iter: int = 500) -> np.ndarray:
+FCM_FUZZINESS = 2.0  # membership exponent; must exceed 1
+FCM_TOL = 1e-9
+FCM_MAX_ITER = 500
+
+
+def cluster_poles(samples, c: int) -> np.ndarray:
     """Fuzzy c-means cluster centers of complex pole locations.
 
     Deterministic farthest-point initialization; iterates the standard FCM
-    update until the centers move less than ``tol`` or the iteration cap.
-    Centers stay inside the unit disk because they are convex combinations of
-    the samples.
+    update until the centers move less than ``FCM_TOL`` or ``FCM_MAX_ITER``
+    iterations have run.  Centers stay inside the unit disk because they are
+    convex combinations of the samples.
     """
     samples = np.atleast_1d(np.asarray(samples, dtype=complex))
     if samples.size == 0:
         raise ValueError("no pole samples to cluster")
     if c < 1 or c > samples.size:
         raise ValueError("cluster count must be in [1, number of samples]")
-    if fuzziness <= 1.0:
-        raise ValueError("fuzziness must exceed 1")
     if np.max(np.abs(samples)) >= 1.0:
         raise ValueError("pole samples must lie inside the unit disk")
 
@@ -241,16 +243,16 @@ def cluster_poles(samples, c: int, fuzziness: float = 2.0,
         centers.append(pts[np.argmax(d2)])
     centers = np.array(centers, dtype=float)
 
-    for _ in range(max_iter):
+    for _ in range(FCM_MAX_ITER):
         # clamping d^2 away from zero makes coincident points crisply owned
         d2 = np.maximum(
             ((pts[None, :, :] - centers[:, None, :]) ** 2).sum(axis=2), 1e-30)
-        inv = np.power(d2, -1.0 / (fuzziness - 1.0))
+        inv = np.power(d2, -1.0 / (FCM_FUZZINESS - 1.0))
         u = inv / inv.sum(axis=0, keepdims=True)
-        w = u ** fuzziness
+        w = u ** FCM_FUZZINESS
         new_centers = (w @ pts) / w.sum(axis=1, keepdims=True)
         shift = np.max(np.abs(new_centers - centers))
         centers = new_centers
-        if shift < tol:
+        if shift < FCM_TOL:
             break
     return centers[:, 0] + 1j * centers[:, 1]

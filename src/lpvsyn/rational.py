@@ -99,9 +99,9 @@ class RationalTf:
     def poles(self) -> np.ndarray:
         return np.roots(self.den) if self.den.size > 1 else np.zeros(0)
 
-    def is_stable(self, margin: float = 0.0) -> bool:
+    def is_stable(self) -> bool:
         p = self.poles()
-        return bool(p.size == 0 or np.max(np.abs(p)) < 1.0 - margin)
+        return bool(p.size == 0 or np.max(np.abs(p)) < 1.0)
 
     def dc_gain(self) -> float:
         return float(np.real(self.eval_at(np.array([1.0 + 0j]))[0]))
@@ -194,7 +194,7 @@ def closed_loop_char_poly(g: RationalTf, k: RationalTf) -> np.ndarray:
     return polyadd(polymul(g.num, k.num), polymul(g.den, k.den))
 
 
-def internally_stable(g: RationalTf, k: RationalTf, margin: float = 0.0) -> bool:
+def internally_stable(g: RationalTf, k: RationalTf) -> bool:
     """Internal stability of the unity feedback loop of g and k.
 
     Forms the characteristic polynomial of all four closed-loop maps; a drop in
@@ -210,7 +210,7 @@ def internally_stable(g: RationalTf, k: RationalTf, margin: float = 0.0) -> bool
     if phi_t.size - 1 < expected_deg and abs(phi[0]) <= 1e-9 * scale:
         return False  # effective pole at infinity
     roots = np.roots(phi_t)
-    return bool(roots.size == 0 or np.max(np.abs(roots)) < 1.0 - margin)
+    return bool(roots.size == 0 or np.max(np.abs(roots)) < 1.0)
 
 
 def closed_loop_maps(g: RationalTf, k: RationalTf) -> dict:

@@ -24,6 +24,7 @@ from .synthesis import (SynthesisProblem, SynthesisResult, bisect_gamma,
 
 IMPROVEMENT_STOP = 0.01
 DISK_CLIP = 0.98
+CENTER_IMAG_TOL = 1e-7  # a center with |Im| below this counts as real
 
 
 class BasisPair(NamedTuple):
@@ -47,20 +48,19 @@ def controller_root_samples(result: SynthesisResult, points) -> tuple:
     return np.asarray(poles, dtype=complex), np.asarray(zeros, dtype=complex)
 
 
-def project_into_disk(samples: np.ndarray, clip: float = DISK_CLIP) -> np.ndarray:
-    """Reflect unstable samples into the disk and clip radii away from 1."""
+def project_into_disk(samples: np.ndarray) -> np.ndarray:
+    """Reflect unstable samples into the disk and clip radii to ``DISK_CLIP``."""
     samples = np.asarray(samples, dtype=complex)
     samples = samples[np.isfinite(samples)]
     out = samples.copy()
     outside = np.abs(out) > 1.0
     out[outside] = 1.0 / np.conj(out[outside])
-    big = np.abs(out) > clip
-    out[big] = out[big] * (clip / np.abs(out[big]))
+    big = np.abs(out) > DISK_CLIP
+    out[big] = out[big] * (DISK_CLIP / np.abs(out[big]))
     return out
 
 
-def centers_to_basis(centers: np.ndarray, n_slots: int,
-                     imag_tol: float = 1e-7) -> ObfBasis:
+def centers_to_basis(centers: np.ndarray, n_slots: int) -> ObfBasis:
     """Fill ``n_slots`` basis poles from cluster centers, conjugate-closed.
 
     Complex centers consume two slots as a conjugate pair; when only one slot
@@ -73,7 +73,7 @@ def centers_to_basis(centers: np.ndarray, n_slots: int,
     while len(poles) < n_slots and centers.size:
         ctr = centers[idx % centers.size]
         idx += 1
-        if abs(ctr.imag) < imag_tol:
+        if abs(ctr.imag) < CENTER_IMAG_TOL:
             poles.append(complex(ctr.real))
         elif n_slots - len(poles) >= 2:
             poles.extend([ctr, np.conj(ctr)])

@@ -567,7 +567,8 @@ def bisect_gamma(problem: SynthesisProblem, *,
     without an LP; telemetry ``skipped_steps`` counts those halvings among
     ``bisect_steps``.  The levels stay on the dyadic lattice of
     [gamma_lo, gamma_hi], so gamma and ``gamma_bracket`` do not depend on
-    which levels were skipped.
+    which levels were skipped.  A feasible gamma_lo closes the bracket at
+    once: gamma = gamma_lo, ``gamma_bracket`` (gamma_lo, gamma_lo).
 
     ``incumbent``, a level to beat (the best gamma of another problem), adds
     one solve at that level right after the one at gamma_hi, when it lies
@@ -639,22 +640,21 @@ def bisect_gamma(problem: SynthesisProblem, *,
     out_lo = solve_at(lo, warm=warm)
     bisect_steps = skipped_steps = 0
     if out_lo.status == "feasible":
-        gamma_star, theta_best = lo, out_lo.theta
-    else:
-        while hi - lo > options.gamma_rtol * hi:
-            mid = 0.5 * (lo + hi)
-            bisect_steps += 1
-            # the held theta settles this level: feasible without an LP
-            if not _violated(cmap, theta_best, 1.0 / mid, eps)[1].size:
-                hi = mid
-                skipped_steps += 1
-                continue
-            out_mid = solve_at(mid, warm=warm)
-            if out_mid.status == "feasible":
-                hi, theta_best = mid, out_mid.theta
-            else:
-                lo = mid
-        gamma_star = hi
+        # the bracket closes at lo and the loop below runs no step
+        hi, theta_best = lo, out_lo.theta
+    while hi - lo > options.gamma_rtol * hi:
+        mid = 0.5 * (lo + hi)
+        bisect_steps += 1
+        # the held theta settles this level: feasible without an LP
+        if not _violated(cmap, theta_best, 1.0 / mid, eps)[1].size:
+            hi = mid
+            skipped_steps += 1
+            continue
+        out_mid = solve_at(mid, warm=warm)
+        if out_mid.status == "feasible":
+            hi, theta_best = mid, out_mid.theta
+        else:
+            lo = mid
 
     # Working sets land on other points of a degenerate LP optimum, so theta*
     # comes from one central solve at gamma*: no carried planes, simplex cut
@@ -664,21 +664,21 @@ def bisect_gamma(problem: SynthesisProblem, *,
     # feasible, the verified theta of the bisection stands.
     theta_source = "warm"
     try:
-        final = solve_at(gamma_star, _central=True)
+        final = solve_at(hi, _central=True)
     except CutRoundsExhaustedError as exc:
         lp_solves += exc.lp_solves
     else:
         if final.status == "feasible":
             theta_best, theta_source = final.theta, "central"
-    return finish(gamma_star, theta_best, theta_source, (lo, hi), bisect_steps,
-                  skipped_steps)
+    return finish(hi, theta_best, theta_source, (lo, hi), bisect_steps, skipped_steps)
 
 
-def closed_loop_data(problem: SynthesisProblem, params: ControllerParameters) -> dict:
-    """Per operating point closed-loop factor data for the given controller."""
+def closed_loop_data(pairs: dict, params: ControllerParameters) -> dict:
+    """Per operating point closed-loop factor data of the given controller
+    with the plant factor data ``pairs`` (operating point -> CoprimeFrfPair),
+    on each pair's grid and in the order of ``pairs``."""
     out = {}
-    for p in problem.scheduling_grid.points:
-        p = float(p)
-        nk, dk = evaluate_factors(params, p, problem.grid)
-        out[p] = assemble_closed_loop(problem.pairs[p], nk, dk)
+    for p, pair in pairs.items():
+        nk, dk = evaluate_factors(params, p, pair.grid)
+        out[p] = assemble_closed_loop(pair, nk, dk)
     return out

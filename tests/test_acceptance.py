@@ -123,7 +123,7 @@ def test_criterion_2_synthesis_soundness(model, problem_lpv, result_lpv):
     eps = result_lpv.telemetry["eps"]
     wall = result_lpv.telemetry["wall_time_s"]
     re_dp_ok = result_lpv.re_dp_min >= eps - 1e-9
-    data = closed_loop_data(problem_lpv, result_lpv.theta)
+    data = closed_loop_data(problem_lpv.pairs, result_lpv.theta)
     achieved = compute_achieved_gamma(
         data, problem_lpv.weights.on_grid(problem_lpv.grid))
     bound_ok = achieved <= result_lpv.gamma * (1 + 1e-6)
@@ -166,7 +166,7 @@ def test_criterion_4_bisection_monotonicity(model, k0, weights, sched_grid):
 
 
 def test_criterion_5_lfr_equivalence(result_lpv, model):
-    ctrl = build_lfr(result_lpv.theta, model.sample_rate)
+    ctrl = build_lfr(result_lpv.theta)
     grid = FrequencyGrid.log_spaced(0.05, 90.0, 256, model.sample_rate)
     worst = 0.0
     for p in np.linspace(30.0, 50.0, 11):
@@ -218,7 +218,7 @@ def test_criterion_8_time_domain_behavior(model, result_lpv, result_lti):
     r = np.zeros(n_step)
     r[100:] = 10.0
     zero = TimeRecord(np.zeros(n_step), fs)
-    ctrl_lpv = build_lfr(result_lpv.theta, fs)
+    ctrl_lpv = build_lfr(result_lpv.theta)
     sse = []
     for p in POINTS:
         tr = simulate_closed_loop(model, ctrl_lpv, TimeRecord(r, fs),
@@ -232,7 +232,7 @@ def test_criterion_8_time_domain_behavior(model, result_lpv, result_lti):
     zero_n = TimeRecord(np.zeros(n), fs)
     metrics = {}
     for name, res in (("lpv", result_lpv), ("lti", result_lti)):
-        tr = simulate_closed_loop(model, build_lfr(res.theta, fs), ref, sched,
+        tr = simulate_closed_loop(model, build_lfr(res.theta), ref, sched,
                                   zero_n)
         metrics[name] = step_metrics(tr)
     l2_ok = metrics["lpv"]["l2_error"] < metrics["lti"]["l2_error"]
@@ -248,7 +248,7 @@ def test_criterion_9_multiplier_absorption(problem_lpv, result_lpv):
     grid = problem_lpv.grid
     weights = problem_lpv.weights.on_grid(grid)
     eps = result_lpv.telemetry["eps"] * 0.5
-    data = closed_loop_data(problem_lpv, result_lpv.theta)
+    data = closed_loop_data(problem_lpv.pairs, result_lpv.theta)
     cert = check_performance(data, weights, result_lpv.gamma, grid, eps=eps)
     absorbed = {p: absorb_multiplier(block,
                                      cert.multipliers[p].on_grid(grid))

@@ -120,6 +120,27 @@ class TestPipeline:
                                usecols=cols, ndmin=2)
             assert table.shape[0] > 0 and np.all(np.isfinite(table))
 
+    def test_analyze_and_report_ignore_synthesis_only_keys(self, pipeline, tmp_path):
+        # the controller carries its own bases, so a config that could not
+        # synthesize (order_n above order_d) still certifies and reports it
+        _, out = pipeline
+        copy = tmp_path / "out"
+        copy.mkdir()
+        for name in ("dataset.csv", "synthesis_result.json", "controller.json"):
+            (copy / name).write_bytes((out / name).read_bytes())
+        gamma = json.loads((out / "synthesis_result.json").read_text())["gamma"]
+        odd = tiny_config(copy)
+        odd["synthesis"]["obf.order_n"] = 6
+        certificates = []
+        for name, cfg in (("plain.json", tiny_config(copy)), ("odd.json", odd)):
+            cfg_path = write_config(tmp_path, cfg, name=name)
+            for args in (["analyze", str(copy / "controller.json"),
+                          "--gamma", repr(gamma)], ["report"]):
+                res = run("--config", cfg_path, *args)
+                assert res.exit_code == 0, res.output
+            certificates.append((copy / "certificate.json").read_bytes())
+        assert certificates[0] == certificates[1]
+
     def test_lti_mode_flag(self, pipeline, tmp_path_factory):
         tmp_path = tmp_path_factory.mktemp("lti")
         cfg = tiny_config(tmp_path / "out")
@@ -167,6 +188,16 @@ class TestExternalDataset:
         assert res.exit_code == 0, res.output
         res = run("--config", cfg_path, "generate")
         assert res.exit_code == 2  # simulation needs the surrogate
+
+
+class TestConfigFiles:
+    def test_default_config_file_matches_defaults(self):
+        # configs/default.json restates defaults.default_config(); dumping
+        # both compares the JSON types too (10000.0 is not 10000)
+        from lpvsyn import defaults
+        path = Path(__file__).resolve().parents[1] / "configs" / "default.json"
+        assert (json.dumps(json.loads(path.read_text()), sort_keys=True)
+                == json.dumps(defaults.default_config(), sort_keys=True))
 
 
 class TestPaperScale:
@@ -225,6 +256,34 @@ class TestErrors:
         res = run("--config", cfg_path, command[0], str(bad), *command[1:])
         assert res.exit_code == 2
         assert "basis poles must be finite" in res.output
+
+    def test_controller_at_other_sample_rate_rejected(self, pipeline, tmp_path):
+        # a controller runs only at the rate of the data and plant it is used with
+        _, out = pipeline
+        bad_out = tmp_path / "out"
+        bad_out.mkdir()
+        (bad_out / "dataset.csv").write_bytes((out / "dataset.csv").read_bytes())
+        result = json.loads((out / "synthesis_result.json").read_text())
+        assert result["controller"]["sample_rate"] == 200.0
+        result["controller"]["sample_rate"] = 100.0
+        (bad_out / "synthesis_result.json").write_text(json.dumps(result))
+        ctrl = bad_out / "controller.json"
+        ctrl.write_text(json.dumps(result["controller"]))
+        cfg_path = write_config(tmp_path, tiny_config(bad_out))
+        for args in (["analyze", str(ctrl), "--gamma", "2.0"], ["simulate", str(ctrl)],
+                     ["report"]):
+            res = run("--config", cfg_path, *args)
+            assert res.exit_code == 2, args
+            assert "controller sample rate 100.0 differs" in res.output
+
+    def test_lti_spelling_rejected(self, pipeline, tmp_path):
+        # "constant" is the one name of the scheduling basis without p
+        _, out = pipeline
+        cfg = tiny_config(out)
+        cfg["synthesis"]["scheduling.kind"] = "lti"
+        res = run("--config", write_config(tmp_path, cfg), "synthesize")
+        assert res.exit_code == 2
+        assert "unknown scheduling kind 'lti'" in res.output
 
     def test_malformed_weights(self, pipeline, tmp_path):
         cfg_path, out = pipeline

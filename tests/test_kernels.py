@@ -42,7 +42,7 @@ def random_controller(rng, order_n=4, order_d=4, m=2):
     params = ControllerParameters(wbar, vbar, laguerre_basis(0.5, order_n),
                                   laguerre_basis(0.6, order_d),
                                   SchedulingBasis(m, P_RANGE))
-    return build_lfr(params, FS)
+    return build_lfr(params)
 
 
 def signals(rng, n):

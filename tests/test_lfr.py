@@ -26,7 +26,7 @@ def static_controller(c, p_range=(30.0, 50.0)):
 class TestBuildLfr:
     def test_static_controller(self, model):
         params = static_controller(2.5)
-        ctrl = build_lfr(params, model.sample_rate)
+        ctrl = build_lfr(params)
         assert ctrl.state_dim == 0
         grid = FrequencyGrid(np.linspace(0.1, 3.0, 8), model.sample_rate)
         resp = frozen_controller_frf(ctrl, 40.0, grid)
@@ -48,12 +48,12 @@ class TestBuildLfr:
             assert np.array_equal(a[k], ak) and np.array_equal(b, bk)
             assert np.array_equal(c[k], ck) and d[k] == dk
 
-    def test_reference_configuration_state_count(self, small_lpv_result, model):
-        ctrl = build_lfr(small_lpv_result.theta, model.sample_rate)
+    def test_reference_configuration_state_count(self, small_lpv_result):
+        ctrl = build_lfr(small_lpv_result.theta)
         assert ctrl.state_dim == 10
 
     def test_frozen_response_matches_factor_quotient(self, small_lpv_result, model):
-        ctrl = build_lfr(small_lpv_result.theta, model.sample_rate)
+        ctrl = build_lfr(small_lpv_result.theta)
         grid = FrequencyGrid.log_spaced(0.05, 90.0, 64, model.sample_rate)
         for p in (30.0, 40.0, 50.0):
             nk, dk = evaluate_factors(small_lpv_result.theta, p, grid)
@@ -61,7 +61,7 @@ class TestBuildLfr:
             assert np.max(np.abs(resp.values - nk / dk)) < 1e-8
 
     def test_frozen_equivalence_11_points_256_freqs(self, small_lpv_result, model):
-        ctrl = build_lfr(small_lpv_result.theta, model.sample_rate)
+        ctrl = build_lfr(small_lpv_result.theta)
         grid = FrequencyGrid.log_spaced(0.05, 90.0, 256, model.sample_rate)
         for p in np.linspace(30.0, 50.0, 11):
             nk, dk = evaluate_factors(small_lpv_result.theta, p, grid)
@@ -69,7 +69,7 @@ class TestBuildLfr:
             assert np.max(np.abs(resp.values - nk / dk)) < 1e-8
 
     def test_integral_action_low_frequency_gain(self, small_lpv_result, model):
-        ctrl = build_lfr(small_lpv_result.theta, model.sample_rate)
+        ctrl = build_lfr(small_lpv_result.theta)
         grid = FrequencyGrid.log_spaced(0.01, 90.0, 128, model.sample_rate)
         mag = np.abs(frozen_controller_frf(ctrl, 40.0, grid).values)
         mid = np.median(mag)
@@ -78,7 +78,7 @@ class TestBuildLfr:
 
 class TestSimulateClosedLoop:
     def test_zero_reference_zero_trace(self, model, small_lpv_result):
-        ctrl = build_lfr(small_lpv_result.theta, model.sample_rate)
+        ctrl = build_lfr(small_lpv_result.theta)
         n = 256
         fs = model.sample_rate
         zero = TimeRecord(np.zeros(n), fs)
@@ -87,7 +87,7 @@ class TestSimulateClosedLoop:
         assert np.all(tr.y == 0) and np.all(tr.u == 0) and np.all(tr.e == 0)
 
     def test_frozen_step_bounded_with_small_sse(self, model, small_lpv_result):
-        ctrl = build_lfr(small_lpv_result.theta, model.sample_rate)
+        ctrl = build_lfr(small_lpv_result.theta)
         fs = model.sample_rate
         n = int(30 * fs)
         r = np.zeros(n)
@@ -105,7 +105,7 @@ class TestSimulateClosedLoop:
         # controllable canonical form and interconnected with the plant
         # (direct-form filtering of the degree-13 closed-loop rationals is too
         # ill-conditioned near |z| = 1 to serve as a 1e-8 reference)
-        ctrl = build_lfr(small_lpv_result.theta, model.sample_rate)
+        ctrl = build_lfr(small_lpv_result.theta)
         fs = model.sample_rate
         n = 10000
         rng = np.random.default_rng(0)
@@ -133,7 +133,7 @@ class TestSimulateClosedLoop:
     def test_scheduling_locality(self, model, small_lpv_result):
         # constant scheduling: the LFR path equals a direct simulation of the
         # frozen controller matrices
-        ctrl = build_lfr(small_lpv_result.theta, model.sample_rate)
+        ctrl = build_lfr(small_lpv_result.theta)
         fs = model.sample_rate
         n = 2000
         rng = np.random.default_rng(1)
@@ -156,7 +156,7 @@ class TestSimulateClosedLoop:
         assert np.max(np.abs(tr.y - y)) < 1e-10
 
     def test_time_varying_scenario_finite(self, model, small_lpv_result):
-        ctrl = build_lfr(small_lpv_result.theta, model.sample_rate)
+        ctrl = build_lfr(small_lpv_result.theta)
         fs = model.sample_rate
         n = int(16 * fs)
         ref = filtered_square_reference(n, fs, 15.0, 8.0, 0.7)
@@ -173,7 +173,7 @@ class TestSimulateClosedLoop:
         assert not internally_stable(frozen_tf(model, 40.0),
                                      frozen_controller_tf(params, 40.0,
                                                           model.sample_rate))
-        ctrl = build_lfr(params, model.sample_rate)
+        ctrl = build_lfr(params)
         fs = model.sample_rate
         n = 20000
         r = np.zeros(n)
@@ -191,7 +191,7 @@ class TestSimulateClosedLoop:
         assert err.value.sample_index == first_bad
 
     def test_length_mismatch(self, model, small_lpv_result):
-        ctrl = build_lfr(small_lpv_result.theta, model.sample_rate)
+        ctrl = build_lfr(small_lpv_result.theta)
         fs = model.sample_rate
         with pytest.raises(ValueError):
             simulate_closed_loop(model, ctrl, TimeRecord(np.zeros(8), fs),
@@ -244,7 +244,7 @@ class TestStepMetrics:
         zero = TimeRecord(np.zeros(n), fs)
         results = {}
         for name, res in (("lpv", small_lpv_result), ("lti", small_lti_result)):
-            ctrl = build_lfr(res.theta, fs)
+            ctrl = build_lfr(res.theta)
             tr = simulate_closed_loop(model, ctrl, ref, sched, zero)
             results[name] = step_metrics(tr)
         assert results["lpv"]["l2_error"] < results["lti"]["l2_error"]

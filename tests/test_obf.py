@@ -236,5 +236,3 @@ class TestClusterPoles:
             cluster_poles(np.array([0.1 + 0j]), 2)
         with pytest.raises(ValueError):
             cluster_poles(np.array([1.2 + 0j]), 1)
-        with pytest.raises(ValueError):
-            cluster_poles(np.array([0.1 + 0j]), 1, fuzziness=1.0)

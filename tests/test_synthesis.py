@@ -186,7 +186,7 @@ class TestAssembleConstraints:
         layout = small_problem.layout
         theta = np.random.default_rng(6).standard_normal(layout.size)
         params = layout.unpack(theta)
-        data = closed_loop_data(small_problem, params)
+        data = closed_loop_data(small_problem.pairs, params)
         weights = small_problem.weights.on_grid(small_problem.grid)
         d_p = cmap.by_block(cmap.D @ theta + cmap.d0)
         for (p, channel), numerator in cmap.by_block(cmap.N @ theta + cmap.n0).items():
@@ -481,6 +481,19 @@ class TestBisection:
         assert result.telemetry["skipped_steps"] == skipped
         assert len(solved) == 2 + len(levels) - skipped
 
+    def test_feasible_gamma_lo_closes_the_bracket(self, small_problem, small_lpv_result):
+        # the bisection ends before its first step, and the bracket it reports
+        # is the level it returns
+        gamma_lo = 1.5 * small_lpv_result.gamma
+        problem = replace(small_problem,
+                          options=replace(small_problem.options, gamma_lo=gamma_lo))
+        result = bisect_gamma(problem)
+        assert result.gamma == gamma_lo
+        assert result.telemetry["gamma_bracket"] == (gamma_lo, gamma_lo)
+        assert result.telemetry["bisect_steps"] == 0
+        assert result.telemetry["theta_source"] == "central"
+        assert result.margin_min() >= -1e-12
+
     def test_incumbent_above_gamma_star_keeps_gamma(self, small_problem,
                                                     small_lpv_result):
         result = bisect_gamma(small_problem, incumbent=1.5 * small_lpv_result.gamma)
@@ -643,7 +656,7 @@ class TestOrderMonotonicity:
 class TestSoundness:
     def test_achieved_gamma_below_returned(self, small_problem, small_lpv_result):
         from lpvsyn import compute_achieved_gamma
-        data = closed_loop_data(small_problem, small_lpv_result.theta)
+        data = closed_loop_data(small_problem.pairs, small_lpv_result.theta)
         achieved = compute_achieved_gamma(
             data, small_problem.weights.on_grid(small_problem.grid))
         assert achieved <= small_lpv_result.gamma * (1 + 1e-6)
