@@ -15,14 +15,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.signal
 
 from . import _kernels
 from .exceptions import SimulationDivergedError
 from .frfdata import FrequencyGrid, FrfResponse, TimeRecord
 from .obf import realize_bank, scheduling_eval
 from .plant import LpvSurrogateModel, Trace
-from .rational import statespace_response
+from .rational import RationalTf, statespace_response
 from .synthesis import ControllerParameters
 
 OVERFLOW_LIMIT = 1e12
@@ -220,11 +219,21 @@ def square_wave(n: int, period_samples: int, low: float, high: float) -> np.ndar
 
 def filtered_square_reference(n: int, sample_rate: float, amplitude: float,
                               period_s: float, cutoff_hz: float = 0.7) -> TimeRecord:
-    """Square wave through a low-pass filter, the tracking scenario shape."""
+    """Square wave through a Butterworth low-pass filter, the tracking scenario
+    shape.
+
+    The filter is the analog Butterworth low-pass of order
+    ``REFERENCE_FILTER_ORDER`` at the prewarped cutoff
+    wc = 2 fs tan(pi fc / fs), taken to discrete time by the bilinear
+    transform, so its -3 dB point lands on ``cutoff_hz`` exactly.
+    """
     raw = square_wave(n, max(2, int(round(period_s * sample_rate))),
                       -amplitude, amplitude)
-    b, a = scipy.signal.butter(REFERENCE_FILTER_ORDER, cutoff_hz / (0.5 * sample_rate))
-    return TimeRecord(scipy.signal.lfilter(b, a, raw), sample_rate, "r")
+    order = REFERENCE_FILTER_ORDER
+    wc = 2.0 * sample_rate * math.tan(math.pi * cutoff_hz / sample_rate)
+    poles = wc * np.exp(1j * math.pi * (2 * np.arange(order) + order + 1) / (2 * order))
+    lowpass = RationalTf.from_continuous([wc ** order], np.poly(poles).real, sample_rate)
+    return TimeRecord(lowpass.filter(raw), sample_rate, "r")
 
 
 def square_scheduling(n: int, sample_rate: float, p_range,
@@ -234,7 +243,7 @@ def square_scheduling(n: int, sample_rate: float, p_range,
     lo, hi = p_range
     raw = square_wave(n, max(2, int(round(period_s * sample_rate))), lo, hi)
     zd = math.exp(-2.0 * math.pi * SCHEDULING_SMOOTH_HZ / sample_rate)
-    smoothed = scipy.signal.lfilter([1.0 - zd], [1.0, -zd], raw - lo) + lo
+    smoothed = RationalTf([1.0 - zd, 0.0], [1.0, -zd], sample_rate).filter(raw - lo) + lo
     return TimeRecord(np.clip(smoothed, lo, hi), sample_rate, "p")
 
 

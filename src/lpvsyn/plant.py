@@ -172,10 +172,14 @@ def generate_experiment(model: LpvSurrogateModel, controller0: RationalTf,
         d = d_std * np.tile(base, reps)[:n_samples]
     else:
         d = d_std * rng.standard_normal(n_samples)
-    noise = noise_std * rng.standard_normal(n_samples) if noise_std else np.zeros(n_samples)
+    if noise_std:
+        noise = noise_std * rng.standard_normal(n_samples)
+        excitation = d - controller0.filter(noise)
+    else:
+        noise = np.zeros(n_samples)
+        excitation = d
 
     maps = closed_loop_maps(plant, controller0)
-    excitation = d - controller0.filter(noise)
     with np.errstate(over="ignore", invalid="ignore"):
         u_g = maps["S"].filter(excitation)
         y_meas = maps["GS"].filter(excitation) + noise

@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.signal
+from scipy.linalg.lapack import dtbtrs
 
 
 def trim_poly(c) -> np.ndarray:
@@ -119,10 +119,32 @@ class RationalTf:
     # -- filtering -------------------------------------------------------------
 
     def filter(self, u: np.ndarray) -> np.ndarray:
-        # lfilter takes num zero-padded to the den length
-        b = np.zeros(self.den.size)
-        b[self.den.size - self.num.size:] = self.num
-        return scipy.signal.lfilter(b, self.den, np.asarray(u, dtype=float))
+        """Output from rest for the 1-D input u, the same recursion as a
+        direct-form filter.
+
+        With b and a the coefficients normalized by den[0] and b0 = b[0], the
+        output is b0 u + w for the strictly proper remainder
+        w = (b - b0 a) / a: its numerator, delayed one sample, is v, and
+        ``a * w = v`` is a banded lower-triangular Toeplitz system that
+        LAPACK's ``dtbtrs`` solves by forward substitution.  Adding the
+        feedthrough term last, as a direct-form filter does in each sample,
+        keeps (S d - d) + d == S d bit for bit where S has unit feedthrough.
+        """
+        u = np.asarray(u, dtype=float)
+        a = self.den / self.den[0]
+        b = np.zeros(a.size)
+        b[a.size - self.num.size:] = self.num / self.den[0]
+        n = u.size
+        if a.size == 1 or n == 0:
+            return b[0] * u
+        v = np.zeros(n)
+        v[1:] = np.convolve(b[1:] - b[0] * a[1:], u)[:n - 1]
+        # Fortran band storage of the lower-triangular Toeplitz matrix: row i
+        # holds a_i; a_0 = 1 exactly, so the unit diagonal is not referenced
+        kd = min(a.size - 1, n - 1)
+        ab = np.tile(a[:kd + 1], (n, 1)).T
+        w, _ = dtbtrs(ab, v[:, None], uplo="L", diag="U", overwrite_b=1)
+        return b[0] * u + w[:, 0]
 
     # -- algebra ---------------------------------------------------------------
 

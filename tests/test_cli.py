@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import lpvsyn
 from lpvsyn.cli import main
 
 
@@ -31,6 +35,19 @@ def write_config(tmp_path, cfg, name="cfg.json"):
 
 def run(*args):
     return CliRunner().invoke(main, list(args), catch_exceptions=False)
+
+
+def test_cli_import_leaves_signal_and_stats_unloaded():
+    # each CLI stage is its own process, so every module loaded at import
+    # is paid once per stage; scipy.signal alone pulls in scipy.stats
+    src = str(Path(lpvsyn.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, lpvsyn.cli; "
+            "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 @pytest.fixture(scope="module")

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.signal
 
 from lpvsyn import (FrequencyGrid, SchedulingBasis, TimeRecord, Trace,
                     build_lfr, constant_scheduling, evaluate_factors,
@@ -10,7 +11,9 @@ from lpvsyn import (FrequencyGrid, SchedulingBasis, TimeRecord, Trace,
                     laguerre_basis, simulate_closed_loop, square_scheduling,
                     step_metrics)
 from lpvsyn.exceptions import SimulationDivergedError
-from lpvsyn.lfr import OVERFLOW_LIMIT, frozen_lfr_matrices
+from lpvsyn.lfr import (OVERFLOW_LIMIT, REFERENCE_FILTER_ORDER,
+                        SCHEDULING_SMOOTH_HZ, frozen_lfr_matrices, square_wave)
+from lpvsyn.rational import RationalTf
 from lpvsyn.synthesis import ParameterLayout
 from recursion_oracle import closed_loop_recursion, controllable_canonical
 
@@ -259,6 +262,49 @@ class TestScenarios:
         assert np.all(sched.samples >= lo) and np.all(sched.samples <= hi)
         assert sched.samples.max() > hi - 1.0
         assert sched.samples.min() < lo + 1.0
+
+    @staticmethod
+    def filters_used(monkeypatch, scenario):
+        """Run the scenario generator and return each RationalTf it filters
+        through, in call order."""
+        seen = []
+        original = RationalTf.filter
+
+        def recording(tf, u):
+            seen.append(tf)
+            return original(tf, u)
+
+        monkeypatch.setattr(RationalTf, "filter", recording)
+        scenario()
+        return seen
+
+    @pytest.mark.parametrize("cutoff_hz", [0.7, 5.0, 40.0])
+    def test_reference_filter_is_scipy_butterworth(self, monkeypatch, cutoff_hz):
+        fs = 200.0
+        (tf,) = self.filters_used(
+            monkeypatch, lambda: filtered_square_reference(64, fs, 15.0, 8.0, cutoff_hz))
+        b, a = scipy.signal.butter(REFERENCE_FILTER_ORDER, cutoff_hz / (0.5 * fs))
+        num, den = tf.num / tf.den[0], tf.den / tf.den[0]
+        assert num.size == b.size and den.size == a.size
+        assert np.max(np.abs(num - b)) <= 1e-14 * np.max(np.abs(b))
+        assert np.max(np.abs(den - a)) <= 1e-14 * np.max(np.abs(a))
+
+    def test_reference_matches_lfilter(self):
+        fs, n = 200.0, 6400
+        ref = filtered_square_reference(n, fs, 15.0, 8.0, 0.7)
+        b, a = scipy.signal.butter(REFERENCE_FILTER_ORDER, 0.7 / (0.5 * fs))
+        want = scipy.signal.lfilter(b, a, square_wave(n, 1600, -15.0, 15.0))
+        assert np.max(np.abs(ref.samples - want)) <= 1e-8 * np.max(np.abs(want))
+
+    def test_scheduling_smoothing_matches_lfilter(self, model):
+        fs = model.sample_rate
+        lo, hi = model.scheduling_range
+        n = int(10 * fs)
+        sched = square_scheduling(n, fs, (lo, hi), 4.0)
+        zd = math.exp(-2.0 * math.pi * SCHEDULING_SMOOTH_HZ / fs)
+        raw = square_wave(n, int(round(4.0 * fs)), lo, hi)
+        want = np.clip(scipy.signal.lfilter([1.0 - zd], [1.0, -zd], raw - lo) + lo, lo, hi)
+        assert np.max(np.abs(sched.samples - want)) <= 1e-12
 
     def test_filtered_square_reference_shape(self):
         fs = 200.0

@@ -13,7 +13,7 @@ from lpvsyn import (FrequencyGrid, FrfDataset, FrfResponse, LpvSurrogateModel,
 from lpvsyn import _kernels
 from lpvsyn.exceptions import SimulationDivergedError, StabilizationError
 from lpvsyn.frfdata import write_table
-from lpvsyn.rational import RationalTf, statespace_response
+from lpvsyn.rational import RationalTf, closed_loop_maps, statespace_response
 from recursion_oracle import controllable_canonical, lpv_recursion
 
 P_SCAN = np.linspace(30.0, 50.0, 21)
@@ -204,6 +204,19 @@ class TestGenerateExperiment:
         b = generate_experiment(model, k0, 30.0, 512, 0.1, seed=42)
         for ra, rb in zip(a, b):
             assert np.array_equal(ra.samples, rb.samples)
+
+    @pytest.mark.parametrize("p", [30.0, 40.0, 50.0])
+    def test_disturbance_round_trips_bitwise(self, model, k0, p):
+        # u_G = S d with unit feedthrough: the filter adds d last, so the
+        # controller output u_G - d gives u_G back exactly once d is added
+        d, u_g, _ = generate_experiment(model, k0, p, 32768, 0.0, seed=int(p))
+        assert np.array_equal((u_g.samples - d.samples) + d.samples, u_g.samples)
+
+    def test_noise_free_records_filter_d_alone(self, model, k0):
+        d, u_g, y = generate_experiment(model, k0, 40.0, 4096, 0.0, seed=3)
+        maps = closed_loop_maps(frozen_tf(model, 40.0), k0)
+        assert np.array_equal(u_g.samples, maps["S"].filter(d.samples))
+        assert np.array_equal(y.samples, maps["GS"].filter(d.samples))
 
     def test_destabilizing_controller_rejected(self, model):
         bad = RationalTf.constant(10.0, model.sample_rate)
