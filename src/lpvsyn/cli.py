@@ -41,6 +41,7 @@ from .synthesis import (ControllerParameters, SynthesisOptions,
 EXIT_CONFIG = 2
 EXIT_REFUTED = 3
 EXIT_NUMERICAL = 4
+RECORDS_FILE = "records_p{:g}.csv"  # the experiment record of one operating point
 
 
 def _fail(code: int, message: str):
@@ -148,14 +149,6 @@ def _model_from_config(cfg: dict) -> LpvSurrogateModel:
                           "an external dataset cannot be simulated")
     path = plant["constants_path"]
     return load_surrogate(path) if path else default_surrogate()
-
-
-def _data_sample_rate(cfg: dict) -> float:
-    """Sample rate for dataset work; external datasets carry their own."""
-    plant = cfg["plant"]
-    if plant["kind"] == "surrogate":
-        return _model_from_config(cfg).sample_rate
-    return float(plant["sample_rate"])
 
 
 def _grid_from_config(cfg: dict, sample_rate: float) -> FrequencyGrid:
@@ -275,49 +268,59 @@ def main(ctx, config_path, seed, paper_scale):
         _fail(EXIT_CONFIG, str(exc))
 
 
-def _experiment_records(cfg: dict, model: LpvSurrogateModel):
+def _dataset_from_records(cfg: dict, model: LpvSurrogateModel, record) -> FrfDataset:
+    """The fFRF dataset of the experiment records, one operating point at a
+    time in sorted order.  ``record(i, p, period)`` gives the trace of p, the
+    i-th point of the config, excited with the given period (None: aperiodic).
+    Past the lead-in, S is estimated from d -> u + d (the plant input u_G) and
+    GS from d -> y, then factored."""
     exp = cfg["experiment"]
-    k0 = _controller0_from_config(cfg, model.sample_rate)
-    period = None
-    if exp["periodic"]:
-        period = exp["n_samples"] // exp["periods"]
-    records = {}
-    for i, p in enumerate(exp["operating_points"]):
-        d, u_g, y = generate_experiment(
-            model, k0, float(p), exp["n_samples"], float(exp["noise_std"]),
-            cfg["seed"] + i, d_std=float(exp["d_std"]), periodic_period=period)
-        records[float(p)] = (d, u_g, y)
-    return k0, records
+    n, periods, lead_in = exp["n_samples"], exp["periods"], exp["lead_in_periods"]
+    points = [float(p) for p in exp["operating_points"]]
+    if len(set(points)) < len(points):
+        raise ConfigError(f"experiment.operating_points must be distinct, not {points}")
+    if exp["periodic"] and not 1 <= periods <= n:
+        raise ConfigError(f"experiment.periods must be from 1 to n_samples, not {periods}")
+    if exp["periodic"] and not 0 <= lead_in < periods:
+        raise ConfigError("experiment.lead_in_periods must be from 0 to periods - 1, "
+                          f"not {lead_in}")
+    period = n // periods if exp["periodic"] else None
+    skip = period * lead_in if period else 0
+    fs = model.sample_rate
+    k0 = _controller0_from_config(cfg, fs)
+    grid = _grid_from_config(cfg, fs)
 
-
-def _retain(cfg: dict, rec: TimeRecord) -> TimeRecord:
-    """Drop the transient lead-in periods of a periodic experiment record."""
-    exp = cfg["experiment"]
-    if not exp["periodic"]:
-        return rec
-    period = len(rec) // exp["periods"]
-    skip = period * exp["lead_in_periods"]
-    return TimeRecord(rec.samples[skip:], rec.sample_rate, rec.label)
-
-
-def _estimate_dataset(cfg: dict, model, k0, records) -> FrfDataset:
-    exp = cfg["experiment"]
-    grid = _grid_from_config(cfg, model.sample_rate)
-    entries = {}
-    points = sorted(records)
-    bezout_tol = float(exp["bezout_tol"])
-    for p in points:
-        d, u_g, y = (_retain(cfg, r) for r in records[p])
+    def point_entries(i: int, p: float) -> dict:
+        trace = record(i, p, period)
+        if len(trace) != n:
+            raise ConfigError(f"the record of p={p:g} has {len(trace)} samples, "
+                              f"not experiment.n_samples = {n}")
+        d, u_g, y = (TimeRecord(s[skip:], fs, label) for s, label in
+                     ((trace.d, "d"), (trace.u + trace.d, "u_G"), (trace.y, "y")))
         sens = etfe_estimate(d, u_g, grid, exp["window"], exp["segments"])
         proc = etfe_estimate(d, y, grid, exp["window"], exp["segments"])
-        pair, _ = coprime_from_closed_loop(sens, proc, k0, bezout_tol=bezout_tol)
-        entries[(p, "S")] = sens
-        entries[(p, "GS")] = proc
-        entries[(p, "G")] = closed_loop_to_plant(sens, proc)
-        entries[(p, "N_G")] = pair.n_g
-        entries[(p, "D_G")] = pair.d_g
-    sched = SchedulingGrid(np.array(points), default_scheduling_range(points))
+        pair, _ = coprime_from_closed_loop(sens, proc, k0,
+                                           bezout_tol=float(exp["bezout_tol"]))
+        return {(p, "S"): sens, (p, "GS"): proc, (p, "G"): closed_loop_to_plant(sens, proc),
+                (p, "N_G"): pair.n_g, (p, "D_G"): pair.d_g}
+
+    entries = {}
+    for i, p in sorted(enumerate(points), key=lambda ip: ip[1]):
+        entries.update(point_entries(i, p))
+    sched = SchedulingGrid(np.array(sorted(points)), default_scheduling_range(points))
     return FrfDataset(entries, grid, sched)
+
+
+def _load_dataset(cfg: dict, out: Path) -> FrfDataset:
+    """The dataset that ``generate`` wrote to ``out``, at the surrogate's
+    sample rate; an external dataset takes ``plant.sample_rate``."""
+    path = out / "dataset.csv"
+    if not path.exists():
+        raise ConfigError(f"dataset {path} does not exist; run generate first")
+    plant = cfg["plant"]
+    fs = (_model_from_config(cfg).sample_rate if plant["kind"] == "surrogate"
+          else float(plant["sample_rate"]))
+    return load_dataset(path, sample_rate=fs)
 
 
 @main.command()
@@ -327,15 +330,20 @@ def generate(ctx):
     """Run closed-loop experiments and write records plus the fFRF dataset."""
     cfg = ctx.obj["cfg"]
     model = _model_from_config(cfg)
-    k0, records = _experiment_records(cfg, model)
-    dataset = _estimate_dataset(cfg, model, k0, records)
+    exp = cfg["experiment"]
+    k0 = _controller0_from_config(cfg, model.sample_rate)
     out = _out_dir(cfg)
-    for p, (d, u_g, y) in records.items():
-        n = len(d)
-        trace = Trace(np.zeros(n), -y.samples, u_g.samples - d.samples,
-                      d.samples, y.samples, np.full(n, p),
+
+    def run_experiment(i: int, p: float, period: int | None) -> Trace:
+        d, u_g, y = (r.samples for r in generate_experiment(
+            model, k0, p, exp["n_samples"], float(exp["noise_std"]),
+            cfg["seed"] + i, d_std=float(exp["d_std"]), periodic_period=period))
+        trace = Trace(np.zeros(d.size), -y, u_g - d, d, y, np.full(d.size, p),
                       model.sample_rate, model.scheduling_range)
-        save_trace(trace, out / f"records_p{p:g}.csv")
+        save_trace(trace, out / RECORDS_FILE.format(p))
+        return trace
+
+    dataset = _dataset_from_records(cfg, model, run_experiment)
     save_dataset(dataset, out / "dataset.csv")
     click.echo(f"wrote {out / 'dataset.csv'} "
                f"({len(dataset.scheduling_grid)} operating points, "
@@ -349,20 +357,15 @@ def estimate(ctx):
     """Re-run ETFE estimation from previously written experiment records."""
     cfg = ctx.obj["cfg"]
     model = _model_from_config(cfg)
-    exp = cfg["experiment"]
     out = _out_dir(cfg)
-    k0 = _controller0_from_config(cfg, model.sample_rate)
-    records = {}
-    for p in exp["operating_points"]:
-        path = out / f"records_p{float(p):g}.csv"
+
+    def read_record(_i: int, p: float, _period) -> Trace:
+        path = out / RECORDS_FILE.format(p)
         if not path.exists():
             raise ConfigError(f"missing experiment record {path}; run generate first")
-        trace = load_trace(path, model.scheduling_range)
-        fs = model.sample_rate
-        records[float(p)] = (TimeRecord(trace.d, fs, "d"),
-                             TimeRecord(trace.u + trace.d, fs, "u_G"),
-                             TimeRecord(trace.y, fs, "y"))
-    dataset = _estimate_dataset(cfg, model, k0, records)
+        return load_trace(path, model.scheduling_range)
+
+    dataset = _dataset_from_records(cfg, model, read_record)
     save_dataset(dataset, out / "dataset.csv")
     click.echo(f"wrote {out / 'dataset.csv'}")
 
@@ -418,14 +421,10 @@ def synthesize(ctx):
     """Synthesize a controller from the dataset and write result files."""
     cfg = ctx.obj["cfg"]
     out = _out_dir(cfg)
-    dataset_path = out / "dataset.csv"
-    if not dataset_path.exists():
-        raise ConfigError(f"dataset {dataset_path} does not exist; run generate first")
-    fs = _data_sample_rate(cfg)
-    dataset = load_dataset(dataset_path, sample_rate=fs)
+    dataset = _load_dataset(cfg, out)
     problem = _problem_from_dataset(cfg, dataset)
     result = bisect_gamma(problem)
-    payload = result_to_dict(result, fs)
+    payload = result_to_dict(result, dataset.grid.sample_rate)
     (out / "synthesis_result.json").write_text(_json_bytes(payload))
     (out / "controller.json").write_text(_json_bytes(payload["controller"]))
     click.echo(f"gamma = {result.gamma:.6g}; wrote {out / 'controller.json'}")
@@ -441,9 +440,8 @@ def analyze(ctx, controller_file, gamma):
     """Certify stability and performance of a controller at a given gamma."""
     cfg = ctx.obj["cfg"]
     out = _out_dir(cfg)
-    fs = _data_sample_rate(cfg)
-    dataset = load_dataset(out / "dataset.csv", sample_rate=fs)
-    params = load_controller(controller_file, fs)
+    dataset = _load_dataset(cfg, out)
+    params = load_controller(controller_file, dataset.grid.sample_rate)
     grid, weights, data = _closed_loop(cfg, dataset, params)
     stab = check_stability({p: block.d_p for p, block in data.items()}, grid)
     perf = check_performance(data, weights, gamma, grid)
@@ -516,15 +514,12 @@ def report(ctx):
     bounds, and frozen controller responses."""
     cfg = ctx.obj["cfg"]
     out = _out_dir(cfg)
-    fs = _data_sample_rate(cfg)
-    dataset_path = out / "dataset.csv"
+    dataset = _load_dataset(cfg, out)
     result_path = out / "synthesis_result.json"
-    if not dataset_path.exists() or not result_path.exists():
-        raise ConfigError("report needs dataset.csv and synthesis_result.json; "
-                          "run generate and synthesize first")
-    dataset = load_dataset(dataset_path, sample_rate=fs)
+    if not result_path.exists():
+        raise ConfigError(f"{result_path} does not exist; run synthesize first")
     payload = json.loads(result_path.read_text())
-    params = controller_from_dict(payload["controller"], fs)
+    params = controller_from_dict(payload["controller"], dataset.grid.sample_rate)
     gamma = float(payload["gamma"])
     grid, weights, data = _closed_loop(cfg, dataset, params)
     ctrl = build_lfr(params)

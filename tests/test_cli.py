@@ -91,8 +91,16 @@ class TestPipeline:
         telemetry = json.loads((out / "synthesis_result.json").read_text())["telemetry"]
         assert not {"lp_solves", "skipped_steps", "wall_time_s"} & telemetry.keys()
 
-    def test_estimate_reproduces_dataset(self, pipeline):
+    @pytest.mark.parametrize("noise_std", [0.0, 0.01])
+    def test_estimate_reproduces_dataset(self, pipeline, tmp_path, noise_std):
+        # generate estimates from its records as estimate reads them back;
+        # with measurement noise, u_G - d + d is not u_G bit for bit
         cfg_path, out = pipeline
+        if noise_std:
+            cfg = tiny_config(tmp_path / "out")
+            cfg["experiment"]["noise_std"] = noise_std
+            cfg_path, out = write_config(tmp_path, cfg), tmp_path / "out"
+            assert run("--config", cfg_path, "generate").exit_code == 0
         before = (out / "dataset.csv").read_bytes()
         res = run("--config", cfg_path, "estimate")
         assert res.exit_code == 0, res.output
@@ -355,12 +363,35 @@ class TestErrors:
          "plant.sample_rate must be number, not null"),
         ("generate", {"experiment": {"controller0": 5}},
          "experiment.controller0 must be null or object, not 5"),
+        # well-typed values that the record path rejects, in both commands
+        ("generate", {"experiment": {"periods": 0}},
+         "experiment.periods must be from 1 to n_samples, not 0"),
+        ("estimate", {"experiment": {"periods": 70000}},
+         "experiment.periods must be from 1 to n_samples, not 70000"),
+        ("generate", {"experiment": {"periods": 2, "lead_in_periods": 2}},
+         "experiment.lead_in_periods must be from 0 to periods - 1, not 2"),
+        ("estimate", {"experiment": {"lead_in_periods": -1}},
+         "experiment.lead_in_periods must be from 0 to periods - 1, not -1"),
+        ("generate", {"experiment": {"operating_points": [30, 30, 40]}},
+         "experiment.operating_points must be distinct, not [30.0, 30.0, 40.0]"),
+        ("estimate", {"experiment": {"operating_points": [40.0, 30.0, 40.0]}},
+         "experiment.operating_points must be distinct"),
     ])
     def test_mistyped_leaf_rejected(self, tmp_path, command, override, message):
         cfg = {"out_dir": str(tmp_path / "out"), **override}
         res = run("--config", write_config(tmp_path, cfg), command)
         assert res.exit_code == 2
         assert message in res.output
+
+    def test_record_of_other_length_rejected(self, pipeline, tmp_path):
+        # a record of another length would be cut at another lead-in
+        _, out = pipeline
+        cfg = tiny_config(out)
+        cfg["experiment"]["n_samples"] = 8192
+        res = run("--config", write_config(tmp_path, cfg), "estimate")
+        assert res.exit_code == 2
+        assert "the record of p=30 has 4096 samples, not experiment.n_samples = 8192" \
+            in res.output
 
     def test_nan_operating_point_rejected(self, tmp_path):
         # NaN passes a "p < lo or p > hi" test; the range check names it

@@ -19,6 +19,7 @@ import pytest
 
 from conftest import lightly_damped_dp, unstable_plant_problem
 from lpvsyn import FrequencyGrid, analysis, cli, synthesis
+from test_cli import run, tiny_config, write_config
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -67,6 +68,28 @@ def test_counters_read_the_right_argument(tracer, module_name, attr, index,
     count = getattr(tracer, counter)
     assert count(tuple(args), {}, None) == {key: 7}
     assert count(tuple(args[:index]), {param: value}, None) == {key: 7}
+
+
+def test_record_path_feeds_the_layer_counters(tracer, tmp_path):
+    # generate and estimate must reach the plant, trace, ETFE and factor
+    # layers through the names the tracer wraps, or their metrics read zero
+    cfg = tiny_config(tmp_path / "out")
+    cfg_path = write_config(tmp_path, cfg)
+    rec = tracer.Tracer()
+    rec.install()
+    try:
+        for command in ("generate", "estimate"):
+            res = run("--config", cfg_path, command)
+            assert res.exit_code == 0, res.output
+    finally:
+        rec.uninstall()
+    metrics = tracer.layer_metrics(rec.spans)
+    n = cfg["experiment"]["n_samples"]
+    assert metrics["plant.experiment_samples"] == 3 * n
+    assert metrics["plant.trace_rows"] == 2 * 3 * n
+    for name in ("plant.experiment_s", "plant.trace_write_s", "plant.trace_read_s",
+                 "frfdata.etfe_s", "factorization.coprime_s"):
+        assert metrics[name] > 0, name
 
 
 def test_tracer_counts_every_synthesis_lp(tracer):
