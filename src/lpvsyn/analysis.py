@@ -100,8 +100,9 @@ def _multiplier_lp(dtilde: np.ndarray, phi: np.ndarray):
     return res.x[:-1], -res.fun
 
 
-def _escalation_bases(grid: FrequencyGrid, worst_omega: float | None):
-    """Multiplier basis ladder: the default family first, then richer fans."""
+def _escalation_bases(worst_omega: float):
+    """Multiplier basis ladder: the default family first, then richer fans,
+    then poles near ``worst_omega``, where Re D_p is smallest."""
     yield laguerre_basis(0.5, 8)
     yield laguerre_basis(0.5, 16)
     for radius in (0.8, 0.92):
@@ -109,13 +110,12 @@ def _escalation_bases(grid: FrequencyGrid, worst_omega: float | None):
         for ang in np.linspace(math.pi / 8, 7 * math.pi / 8, 7):
             poles += [radius * np.exp(1j * ang), radius * np.exp(-1j * ang)]
         yield ObfBasis(np.array(poles))
-    if worst_omega is not None:
-        for radius in (0.9, 0.97):
-            poles = [complex(0.5)] * 4
-            for ang in (worst_omega, max(worst_omega * 0.5, 1e-3),
-                        min(worst_omega * 1.5, math.pi * 0.999)):
-                poles += [radius * np.exp(1j * ang), radius * np.exp(-1j * ang)]
-            yield ObfBasis(np.array(poles))
+    for radius in (0.9, 0.97):
+        poles = [complex(0.5)] * 4
+        for ang in (worst_omega, max(worst_omega * 0.5, 1e-3),
+                    min(worst_omega * 1.5, math.pi * 0.999)):
+            poles += [radius * np.exp(1j * ang), radius * np.exp(-1j * ang)]
+        yield ObfBasis(np.array(poles))
 
 
 def _certify(rows_per_p: dict, grid: FrequencyGrid, eps: float,
@@ -133,7 +133,7 @@ def _certify(rows_per_p: dict, grid: FrequencyGrid, eps: float,
         idx = int(np.argmin(dtilde.real)) % len(grid)
         worst = float(grid.omegas[idx])
         ladder = [ObfBasis(np.zeros(0, dtype=complex))]
-        ladder += [basis] if basis is not None else list(_escalation_bases(grid, worst))
+        ladder += [basis] if basis is not None else list(_escalation_bases(worst))
         first_sign = 1.0 if float(np.mean(dtilde.real)) >= 0.0 else -1.0
         reps = dtilde.size // len(grid)
         phis = ((cand, np.tile(eval_basis(cand, grid), (1, reps))) for cand in ladder)

@@ -157,9 +157,9 @@ def _grid_from_config(cfg: dict, sample_rate: float) -> FrequencyGrid:
                                     g["n"], sample_rate)
 
 
-def _weight_from_config(spec, sample_rate: float) -> RationalTf:
+def _weight_from_config(spec) -> RationalTf:
     return RationalTf(np.asarray(spec["num"], dtype=float),
-                      np.asarray(spec["den"], dtype=float), sample_rate)
+                      np.asarray(spec["den"], dtype=float))
 
 
 def _weights_from_config(cfg: dict, sample_rate: float) -> WeightSet:
@@ -167,8 +167,7 @@ def _weights_from_config(cfg: dict, sample_rate: float) -> WeightSet:
     if spec is None:
         return defaults.default_weights(sample_rate)
     try:
-        return WeightSet(*(_weight_from_config(spec[c], sample_rate)
-                           for c in CHANNELS))
+        return WeightSet(*(_weight_from_config(spec[c]) for c in CHANNELS))
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"malformed weight specification: {exc!r}") from exc
 
@@ -201,7 +200,7 @@ def _controller0_from_config(cfg: dict, sample_rate: float) -> RationalTf:
     spec = cfg["experiment"]["controller0"]
     if spec is None:
         return default_experiment_controller(sample_rate)
-    return _weight_from_config(spec, sample_rate)
+    return _weight_from_config(spec)
 
 
 def _out_dir(cfg: dict) -> Path:
@@ -277,8 +276,12 @@ def _dataset_from_records(cfg: dict, model: LpvSurrogateModel, record) -> FrfDat
     exp = cfg["experiment"]
     n, periods, lead_in = exp["n_samples"], exp["periods"], exp["lead_in_periods"]
     points = [float(p) for p in exp["operating_points"]]
+    if not points:
+        raise ConfigError("experiment.operating_points must not be empty")
     if len(set(points)) < len(points):
         raise ConfigError(f"experiment.operating_points must be distinct, not {points}")
+    if n < 1:
+        raise ConfigError(f"experiment.n_samples must be positive, not {n}")
     if exp["periodic"] and not 1 <= periods <= n:
         raise ConfigError(f"experiment.periods must be from 1 to n_samples, not {periods}")
     if exp["periodic"] and not 0 <= lead_in < periods:
@@ -295,7 +298,7 @@ def _dataset_from_records(cfg: dict, model: LpvSurrogateModel, record) -> FrfDat
         if len(trace) != n:
             raise ConfigError(f"the record of p={p:g} has {len(trace)} samples, "
                               f"not experiment.n_samples = {n}")
-        d, u_g, y = (TimeRecord(s[skip:], fs, label) for s, label in
+        d, u_g, y = (TimeRecord(s[skip:], label) for s, label in
                      ((trace.d, "d"), (trace.u + trace.d, "u_G"), (trace.y, "y")))
         sens = etfe_estimate(d, u_g, grid, exp["window"], exp["segments"])
         proc = etfe_estimate(d, y, grid, exp["window"], exp["segments"])
@@ -486,15 +489,21 @@ def simulate(ctx, controller_file):
     ctrl = build_lfr(params)
     scn = cfg["scenario"]
     fs = model.sample_rate
+    for key in ("duration_s", "ref_period_s", "sched_period_s"):
+        if not float(scn[key]) > 0:
+            raise ConfigError(f"scenario.{key} must be positive, not {scn[key]}")
+    if not 0 < float(scn["cutoff_hz"]) < fs / 2:
+        raise ConfigError(f"scenario.cutoff_hz must lie between 0 and the Nyquist "
+                          f"frequency {fs / 2:g} Hz, not {scn['cutoff_hz']}")
     n = int(round(float(scn["duration_s"]) * fs))
     ref = filtered_square_reference(n, fs, float(scn["amplitude"]),
                                    float(scn["ref_period_s"]),
                                    float(scn["cutoff_hz"]))
-    zero_d = TimeRecord(np.zeros(n), fs, "d")
+    zero_d = TimeRecord(np.zeros(n), "d")
     metrics = {}
     for p in scn["frozen_points"]:
         trace = simulate_closed_loop(model, ctrl, ref,
-                                     constant_scheduling(n, fs, float(p)), zero_d)
+                                     constant_scheduling(n, float(p)), zero_d)
         save_trace(trace, out / f"trace_frozen_p{float(p):g}.csv")
         metrics[f"frozen_p{float(p):g}"] = step_metrics(trace)
     sched = square_scheduling(n, fs, model.scheduling_range,

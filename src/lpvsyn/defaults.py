@@ -15,10 +15,10 @@ from .synthesis import WeightSet
 TWO_PI = 2.0 * math.pi
 
 
-def default_weights(sample_rate: float = 200.0) -> WeightSet:
+def default_weights(sample_rate: float) -> WeightSet:
     w_s = RationalTf.from_continuous(
         [0.5, TWO_PI * 0.75], [1.0, TWO_PI * 0.75 * 1e-4], sample_rate)
-    w_gs = RationalTf.constant(1.0, sample_rate)
+    w_gs = RationalTf.constant(1.0)
     w_ks = 0.02 * RationalTf.from_continuous(
         [1.0 / (TWO_PI * 8.0), 1.0], [1.0 / (TWO_PI * 60.0), 1.0], sample_rate)
     w_t = 0.4 * RationalTf.from_continuous(

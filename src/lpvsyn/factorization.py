@@ -85,8 +85,7 @@ def coprime_from_closed_loop(sens: FrfResponse, proc_sens: FrfResponse,
         raise StabilizationError(
             "this construction requires a stable K0; factor K0 first otherwise")
     pair = CoprimeFrfPair(n_g=proc_sens, d_g=sens)
-    witness = BezoutWitness(x=controller0,
-                            y=RationalTf.constant(1.0, controller0.sample_rate))
+    witness = BezoutWitness(x=controller0, y=RationalTf.constant(1.0))
     res = witness.residual(pair)
     if res > bezout_tol:
         raise StabilizationError(
@@ -121,9 +120,7 @@ def origin_factorization(g: RationalTf):
     n = g.den.size - 1
     shift = np.zeros(n + 1)
     shift[0] = 1.0
-    n_g = RationalTf(g.num, shift, g.sample_rate)
-    d_g = RationalTf(g.den, shift, g.sample_rate)
-    return n_g, d_g
+    return RationalTf(g.num, shift), RationalTf(g.den, shift)
 
 
 def characteristic_data(g: RationalTf, k: RationalTf,

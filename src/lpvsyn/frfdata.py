@@ -141,18 +141,16 @@ class FrfDataset:
 
 @dataclass(frozen=True, eq=False)
 class TimeRecord:
-    """A sampled real-valued signal."""
+    """A sampled real-valued signal; time is in samples, so it carries no
+    sample rate."""
 
     samples: np.ndarray
-    sample_rate: float
     label: str = ""
 
     def __post_init__(self):
         s = np.asarray(self.samples, dtype=float)
         if not np.all(np.isfinite(s)):
             raise ValueError(f"record {self.label!r} contains non-finite samples")
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
         object.__setattr__(self, "samples", s)
         s.flags.writeable = False
 
@@ -341,8 +339,6 @@ def etfe_estimate(input: TimeRecord, output: TimeRecord, grid: FrequencyGrid,
     y = output.samples
     if u.size != y.size:
         raise ValueError("input and output records must have equal length")
-    if input.sample_rate != output.sample_rate:
-        raise ValueError("input and output records must share the sample rate")
     if segments < 1 or u.size % segments:
         raise ValueError("record length must be divisible by the segment count")
     seg_len = u.size // segments

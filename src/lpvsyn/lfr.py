@@ -233,7 +233,7 @@ def filtered_square_reference(n: int, sample_rate: float, amplitude: float,
     wc = 2.0 * sample_rate * math.tan(math.pi * cutoff_hz / sample_rate)
     poles = wc * np.exp(1j * math.pi * (2 * np.arange(order) + order + 1) / (2 * order))
     lowpass = RationalTf.from_continuous([wc ** order], np.poly(poles).real, sample_rate)
-    return TimeRecord(lowpass.filter(raw), sample_rate, "r")
+    return TimeRecord(lowpass.filter(raw), "r")
 
 
 def square_scheduling(n: int, sample_rate: float, p_range,
@@ -243,9 +243,10 @@ def square_scheduling(n: int, sample_rate: float, p_range,
     lo, hi = p_range
     raw = square_wave(n, max(2, int(round(period_s * sample_rate))), lo, hi)
     zd = math.exp(-2.0 * math.pi * SCHEDULING_SMOOTH_HZ / sample_rate)
-    smoothed = RationalTf([1.0 - zd, 0.0], [1.0, -zd], sample_rate).filter(raw - lo) + lo
-    return TimeRecord(np.clip(smoothed, lo, hi), sample_rate, "p")
+    smoothed = RationalTf([1.0 - zd, 0.0], [1.0, -zd]).filter(raw - lo) + lo
+    return TimeRecord(np.clip(smoothed, lo, hi), "p")
 
 
-def constant_scheduling(n: int, sample_rate: float, p: float) -> TimeRecord:
-    return TimeRecord(np.full(n, float(p)), sample_rate, "p")
+def constant_scheduling(n: int, p: float) -> TimeRecord:
+    """The scheduling held at p for n samples."""
+    return TimeRecord(np.full(n, float(p)), "p")

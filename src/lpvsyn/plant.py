@@ -83,7 +83,7 @@ def default_surrogate() -> LpvSurrogateModel:
         return load_surrogate(p)
 
 
-def default_experiment_controller(sample_rate: float = 200.0) -> RationalTf:
+def default_experiment_controller(sample_rate: float) -> RationalTf:
     """Fixed LTI controller used to collect closed-loop data.
 
     A negative gain with a second-order 1.8 Hz low-pass: the plant's unstable
@@ -94,7 +94,7 @@ def default_experiment_controller(sample_rate: float = 200.0) -> RationalTf:
     operating point before use).
     """
     zd = np.exp(-2.0 * np.pi * 1.8 / sample_rate)
-    lowpass = RationalTf(np.array([1.0 - zd]), np.array([1.0, -zd]), sample_rate)
+    lowpass = RationalTf(np.array([1.0 - zd]), np.array([1.0, -zd]))
     return -2.8 * lowpass * lowpass
 
 
@@ -104,7 +104,7 @@ def default_experiment_controller(sample_rate: float = 200.0) -> RationalTf:
 
 def frozen_tf(model: LpvSurrogateModel, p: float) -> RationalTf:
     """Transfer function C (zI - A(p))^{-1} B of the frozen model."""
-    return statespace_tf(model.a_at(p), model.b, model.c, 0.0, model.sample_rate)
+    return statespace_tf(model.a_at(p), model.b, model.c)
 
 
 def frozen_frf(model: LpvSurrogateModel, p: float, grid: FrequencyGrid) -> FrfResponse:
@@ -144,7 +144,7 @@ def simulate_lpv(model: LpvSurrogateModel, input: TimeRecord,
             bad = _kernels.first_bad_index(y[lo:hi], np.inf)
             if bad >= 0:
                 raise SimulationDivergedError("LPV simulation diverged", lo + bad)
-    return TimeRecord(y, model.sample_rate, "y")
+    return TimeRecord(y, "y")
 
 
 def generate_experiment(model: LpvSurrogateModel, controller0: RationalTf,
@@ -186,9 +186,7 @@ def generate_experiment(model: LpvSurrogateModel, controller0: RationalTf,
     diverged = _kernels.first_bad_index(y_meas, 1e12)
     if diverged >= 0:
         raise SimulationDivergedError("closed-loop experiment diverged", diverged)
-    fs = model.sample_rate
-    return (TimeRecord(d, fs, "d"), TimeRecord(u_g, fs, "u_G"),
-            TimeRecord(y_meas, fs, "y"))
+    return TimeRecord(d, "d"), TimeRecord(u_g, "u_G"), TimeRecord(y_meas, "y")
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 """Discrete-time rational transfer functions and polynomial helpers.
 
 Coefficients are stored in descending powers of z (numpy convention), so
-``RationalTf([1.0], [1.0, -0.5])`` is 1/(z - 0.5) at the given sample rate.
+``RationalTf([1.0], [1.0, -0.5])`` is 1/(z - 0.5).  Frequencies are in
+rad/sample, as in :mod:`frfdata`: a transfer function carries no sample rate,
+and Hz enters only through the rate that :meth:`RationalTf.from_continuous`
+takes.
 """
 from __future__ import annotations
 
@@ -36,11 +39,10 @@ def polymul(a, b) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class RationalTf:
-    """Proper real-rational transfer function in z."""
+    """Proper real-rational transfer function in z, without a sample rate."""
 
     num: np.ndarray
     den: np.ndarray
-    sample_rate: float = 1.0
 
     def __post_init__(self):
         num = trim_poly(self.num)
@@ -53,8 +55,6 @@ class RationalTf:
             raise ValueError(
                 f"improper transfer function (deg num {num.size - 1} > deg den {den.size - 1})"
             )
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
         num.flags.writeable = False
@@ -63,12 +63,13 @@ class RationalTf:
     # -- construction helpers -------------------------------------------------
 
     @staticmethod
-    def constant(c: float, sample_rate: float = 1.0) -> "RationalTf":
-        return RationalTf(np.array([float(c)]), np.array([1.0]), sample_rate)
+    def constant(c: float) -> "RationalTf":
+        return RationalTf(np.array([float(c)]), np.array([1.0]))
 
     @staticmethod
     def from_continuous(num_s, den_s, sample_rate: float) -> "RationalTf":
-        """Bilinear (Tustin) transform of a continuous-time rational."""
+        """Bilinear (Tustin) transform of a continuous-time rational at
+        ``sample_rate`` Hz."""
         num_s = trim_poly(num_s)
         den_s = trim_poly(den_s)
         n = max(num_s.size, den_s.size) - 1
@@ -88,7 +89,7 @@ class RationalTf:
                 out = polyadd(out, cj * term)
             return out
 
-        return RationalTf(compose(num_s), compose(den_s), sample_rate)
+        return RationalTf(compose(num_s), compose(den_s))
 
     # -- basic queries ---------------------------------------------------------
 
@@ -148,35 +149,28 @@ class RationalTf:
 
     # -- algebra ---------------------------------------------------------------
 
-    def _check_rate(self, other: "RationalTf"):
-        if self.sample_rate != other.sample_rate:
-            raise ValueError("sample-rate mismatch")
-
     def __mul__(self, other):
         if np.isscalar(other):
-            return RationalTf(self.num * float(other), self.den, self.sample_rate)
-        self._check_rate(other)
-        return RationalTf(polymul(self.num, other.num), polymul(self.den, other.den),
-                          self.sample_rate)
+            return RationalTf(self.num * float(other), self.den)
+        return RationalTf(polymul(self.num, other.num), polymul(self.den, other.den))
 
     __rmul__ = __mul__
 
     def __add__(self, other):
         if np.isscalar(other):
-            other = RationalTf.constant(float(other), self.sample_rate)
-        self._check_rate(other)
+            other = RationalTf.constant(float(other))
         num = polyadd(polymul(self.num, other.den), polymul(other.num, self.den))
-        return RationalTf(num, polymul(self.den, other.den), self.sample_rate)
+        return RationalTf(num, polymul(self.den, other.den))
 
     def __sub__(self, other):
         if np.isscalar(other):
-            other = RationalTf.constant(float(other), self.sample_rate)
+            other = RationalTf.constant(float(other))
         return self + (other * -1.0)
 
     __radd__ = __add__
 
 
-def statespace_tf(a, b, c, d=0.0, sample_rate: float = 1.0) -> RationalTf:
+def statespace_tf(a, b, c, d=0.0) -> RationalTf:
     """C (zI - A)^{-1} B + D as a RationalTf via the Faddeev-LeVerrier recursion."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.asarray(b, dtype=float).reshape(-1)
@@ -191,7 +185,7 @@ def statespace_tf(a, b, c, d=0.0, sample_rate: float = 1.0) -> RationalTf:
         am = a @ m
         den[k + 1] = -np.trace(am) / (k + 1)
         m = am + den[k + 1] * np.eye(n)
-    return RationalTf(polyadd(num, float(d) * den), den, sample_rate)
+    return RationalTf(polyadd(num, float(d) * den), den)
 
 
 def statespace_response(a, b, c, d, z: np.ndarray) -> np.ndarray:
@@ -239,10 +233,9 @@ def closed_loop_maps(g: RationalTf, k: RationalTf) -> dict:
     """The four closed-loop transfer functions {S, GS, KS, T} of the loop."""
     phi = closed_loop_char_poly(g, k)
     dgdk = polymul(g.den, k.den)
-    rate = g.sample_rate
     return {
-        "S": RationalTf(dgdk, phi, rate),
-        "GS": RationalTf(polymul(g.num, k.den), phi, rate),
-        "KS": RationalTf(polymul(g.den, k.num), phi, rate),
-        "T": RationalTf(polymul(g.num, k.num), phi, rate),
+        "S": RationalTf(dgdk, phi),
+        "GS": RationalTf(polymul(g.num, k.den), phi),
+        "KS": RationalTf(polymul(g.den, k.num), phi),
+        "T": RationalTf(polymul(g.num, k.num), phi),
     }

@@ -53,7 +53,7 @@ from scipy.optimize._highspy import _core as _hc
 from .exceptions import (CutRoundsExhaustedError, SolverFailureError,
                          SynthesisInfeasibleError)
 from .factorization import CHANNELS, CoprimeFrfPair, assemble_closed_loop
-from .frfdata import FrequencyGrid, FrfResponse, SchedulingGrid
+from .frfdata import FrequencyGrid, SchedulingGrid
 from .obf import (ObfBasis, SchedulingBasis, eval_basis, eval_basis_at, realize_bank,
                   scheduling_eval)
 from .rational import RationalTf, statespace_tf
@@ -63,25 +63,23 @@ from .rational import RationalTf, statespace_tf
 class WeightSet:
     """Stable shaping weights for the four closed-loop channels."""
 
-    s: object
-    gs: object
-    ks: object
-    t: object
+    s: RationalTf
+    gs: RationalTf
+    ks: RationalTf
+    t: RationalTf
 
     def __post_init__(self):
         for name in ("s", "gs", "ks", "t"):
             w = getattr(self, name)
-            if isinstance(w, RationalTf):
-                if not w.is_stable():
-                    raise ValueError(f"weight W_{name.upper()} must be stable")
-            elif not isinstance(w, FrfResponse):
-                raise ValueError("weights must be RationalTf or FrfResponse")
+            if not isinstance(w, RationalTf):
+                raise ValueError(f"weight W_{name.upper()} must be a RationalTf")
+            if not w.is_stable():
+                raise ValueError(f"weight W_{name.upper()} must be stable")
 
     def on_grid(self, grid: FrequencyGrid) -> dict:
         out = {}
         for channel, name in zip(CHANNELS, ("s", "gs", "ks", "t")):
-            w = getattr(self, name)
-            vals = w.on_grid(grid) if isinstance(w, RationalTf) else np.asarray(w.values)
+            vals = getattr(self, name).on_grid(grid)
             if not np.all(np.isfinite(vals)):
                 raise ValueError(f"weight for channel {channel} is not finite on the grid")
             out[channel] = vals
@@ -183,13 +181,12 @@ def factor_rationals(params: ControllerParameters, p: float):
                                     (realize_bank(params.basis_d), params.vbar @ psi)))
 
 
-def frozen_controller_tf(params: ControllerParameters, p: float,
-                         sample_rate: float = 1.0) -> RationalTf:
+def frozen_controller_tf(params: ControllerParameters, p: float) -> RationalTf:
     """K(z, p) = N_K / D_K as one rational transfer function."""
     nk, dk = factor_rationals(params, p)
     num = np.convolve(nk.num, dk.den)
     den = np.convolve(nk.den, dk.num)
-    return RationalTf(num, den, sample_rate)
+    return RationalTf(num, den)
 
 
 # ---------------------------------------------------------------------------

@@ -129,8 +129,7 @@ def test_criterion_2_synthesis_soundness(model, problem_lpv, result_lpv):
     bound_ok = achieved <= result_lpv.gamma * (1 + 1e-6)
     oracle_ok = all(
         internally_stable(frozen_tf(model, p),
-                          frozen_controller_tf(result_lpv.theta, p,
-                                               model.sample_rate))
+                          frozen_controller_tf(result_lpv.theta, p))
         for p in POINTS)
     report(2, re_dp_ok and bound_ok and oracle_ok and wall < 300.0,
            f"gamma={result_lpv.gamma:.4f}, min Re D_p={result_lpv.re_dp_min:.3e} "
@@ -193,14 +192,13 @@ def test_criterion_7_etfe_pipeline_fidelity(model, k0, grid):
     period = 65536
     band = (grid.omegas >= 0.01 * np.pi) & (grid.omegas <= 0.8 * np.pi)
     worst = 0.0
-    fs = model.sample_rate
     for i, p in enumerate(POINTS):
         d, u_g, y = generate_experiment(model, k0, p, 2 * period, 0.0,
                                         seed=100 + i, periodic_period=period)
         keep = slice(period, 2 * period)
-        d_r = TimeRecord(d.samples[keep], fs)
-        ug_r = TimeRecord(u_g.samples[keep], fs)
-        y_r = TimeRecord(y.samples[keep], fs)
+        d_r = TimeRecord(d.samples[keep])
+        ug_r = TimeRecord(u_g.samples[keep])
+        y_r = TimeRecord(y.samples[keep])
         sens = etfe_estimate(d_r, ug_r, grid, "rectangular", 1)
         proc = etfe_estimate(d_r, y_r, grid, "rectangular", 1)
         recovered = closed_loop_to_plant(sens, proc)
@@ -217,19 +215,19 @@ def test_criterion_8_time_domain_behavior(model, result_lpv, result_lti):
     n_step = int(30 * fs)
     r = np.zeros(n_step)
     r[100:] = 10.0
-    zero = TimeRecord(np.zeros(n_step), fs)
+    zero = TimeRecord(np.zeros(n_step))
     ctrl_lpv = build_lfr(result_lpv.theta)
     sse = []
     for p in POINTS:
-        tr = simulate_closed_loop(model, ctrl_lpv, TimeRecord(r, fs),
-                                  constant_scheduling(n_step, fs, p), zero)
+        tr = simulate_closed_loop(model, ctrl_lpv, TimeRecord(r),
+                                  constant_scheduling(n_step, p), zero)
         sse.append(abs(tr.y[-1] - 10.0) / 10.0)
     sse_ok = max(sse) < 1e-3
     # time-varying scenario: filtered square reference with square scheduling
     n = int(24 * fs)
     ref = filtered_square_reference(n, fs, 15.0, 8.0, 0.7)
     sched = square_scheduling(n, fs, model.scheduling_range, 4.0)
-    zero_n = TimeRecord(np.zeros(n), fs)
+    zero_n = TimeRecord(np.zeros(n))
     metrics = {}
     for name, res in (("lpv", result_lpv), ("lti", result_lti)):
         tr = simulate_closed_loop(model, build_lfr(res.theta), ref, sched,

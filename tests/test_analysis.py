@@ -129,7 +129,7 @@ class TestMultiplierLp:
         dp = lightly_damped_dp(grid512)
         worst = float(grid512.omegas[np.argmin(dp.real)])
         rungs = 0
-        for basis in _escalation_bases(grid512, worst):
+        for basis in _escalation_bases(worst):
             phi = eval_basis(basis, grid512)
             n_beta = phi.shape[0] - 1
             cost = np.zeros(n_beta + 1)

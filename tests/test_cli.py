@@ -376,12 +376,44 @@ class TestErrors:
          "experiment.operating_points must be distinct, not [30.0, 30.0, 40.0]"),
         ("estimate", {"experiment": {"operating_points": [40.0, 30.0, 40.0]}},
          "experiment.operating_points must be distinct"),
+        ("generate", {"experiment": {"operating_points": []}},
+         "experiment.operating_points must not be empty"),
+        ("estimate", {"experiment": {"operating_points": []}},
+         "experiment.operating_points must not be empty"),
+        ("generate", {"experiment": {"periodic": False, "n_samples": 0}},
+         "experiment.n_samples must be positive, not 0"),
+        ("estimate", {"experiment": {"periodic": False, "n_samples": 0}},
+         "experiment.n_samples must be positive, not 0"),
     ])
     def test_mistyped_leaf_rejected(self, tmp_path, command, override, message):
         cfg = {"out_dir": str(tmp_path / "out"), **override}
         res = run("--config", write_config(tmp_path, cfg), command)
         assert res.exit_code == 2
         assert message in res.output
+
+    @pytest.mark.parametrize("setting, value, message", [
+        ("duration_s", -1.0, "scenario.duration_s must be positive, not -1.0"),
+        ("duration_s", 0.0, "scenario.duration_s must be positive, not 0.0"),
+        ("ref_period_s", 0.0, "scenario.ref_period_s must be positive, not 0.0"),
+        ("sched_period_s", 0.0, "scenario.sched_period_s must be positive, not 0.0"),
+        ("cutoff_hz", 150.0, "scenario.cutoff_hz must lie between 0 and the Nyquist "
+                             "frequency 100 Hz, not 150.0"),
+        ("cutoff_hz", 100.0, "scenario.cutoff_hz must lie between 0"),
+        ("cutoff_hz", 0.0, "scenario.cutoff_hz must lie between 0"),
+    ])
+    def test_scenario_out_of_range_rejected(self, pipeline, tmp_path, setting, value,
+                                            message):
+        # unchecked, a zero period is clamped to a 2-sample square wave, a cutoff
+        # at or above Nyquist makes the reference filter unstable, and a negative
+        # duration fails in numpy with a message that names no setting
+        _, out = pipeline
+        cfg = tiny_config(tmp_path / "out")
+        cfg["scenario"][setting] = value
+        res = run("--config", write_config(tmp_path, cfg), "simulate",
+                  str(out / "controller.json"))
+        assert res.exit_code == 2
+        assert message in res.output
+        assert not (tmp_path / "out" / "metrics.json").exists()
 
     def test_record_of_other_length_rejected(self, pipeline, tmp_path):
         # a record of another length would be cut at another lead-in

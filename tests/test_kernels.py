@@ -46,9 +46,9 @@ def random_controller(rng, order_n=4, order_d=4, m=2):
 
 
 def signals(rng, n):
-    r = TimeRecord(rng.standard_normal(n), FS)
-    p = TimeRecord(40.0 + 10.0 * np.sin(np.arange(n) / 50.0), FS)
-    d = TimeRecord(0.1 * rng.standard_normal(n), FS)
+    r = TimeRecord(rng.standard_normal(n))
+    p = TimeRecord(40.0 + 10.0 * np.sin(np.arange(n) / 50.0))
+    d = TimeRecord(0.1 * rng.standard_normal(n))
     return r, p, d
 
 
@@ -112,7 +112,7 @@ def test_lpv_recursion_matches_oracle(model, stable):
     n = 2500
     u = rng.standard_normal(n)
     p = np.where(np.arange(n) % 300 < 150, 30.0, 35.0 + 5.0 * np.cos(np.arange(n) / 30.0))
-    out = simulate_lpv(m, TimeRecord(u, FS), TimeRecord(p, FS))
+    out = simulate_lpv(m, TimeRecord(u), TimeRecord(p))
     want = lpv_recursion(m.a0, m.a1, m.b, m.c, u, p, np.zeros(m.state_dim))
     assert rel_err(out.samples, want) <= 1e-12
 

@@ -83,10 +83,9 @@ class TestSimulateClosedLoop:
     def test_zero_reference_zero_trace(self, model, small_lpv_result):
         ctrl = build_lfr(small_lpv_result.theta)
         n = 256
-        fs = model.sample_rate
-        zero = TimeRecord(np.zeros(n), fs)
+        zero = TimeRecord(np.zeros(n))
         tr = simulate_closed_loop(model, ctrl, zero,
-                                  constant_scheduling(n, fs, 40.0), zero)
+                                  constant_scheduling(n, 40.0), zero)
         assert np.all(tr.y == 0) and np.all(tr.u == 0) and np.all(tr.e == 0)
 
     def test_frozen_step_bounded_with_small_sse(self, model, small_lpv_result):
@@ -95,10 +94,10 @@ class TestSimulateClosedLoop:
         n = int(30 * fs)
         r = np.zeros(n)
         r[100:] = 5.0
-        zero = TimeRecord(np.zeros(n), fs)
+        zero = TimeRecord(np.zeros(n))
         for p in (30.0, 40.0, 50.0):
-            tr = simulate_closed_loop(model, ctrl, TimeRecord(r, fs),
-                                      constant_scheduling(n, fs, p), zero)
+            tr = simulate_closed_loop(model, ctrl, TimeRecord(r),
+                                      constant_scheduling(n, p), zero)
             assert np.max(np.abs(tr.y)) < 50.0
             assert abs(tr.y[-1] - 5.0) / 5.0 < 1e-3
 
@@ -109,15 +108,14 @@ class TestSimulateClosedLoop:
         # (direct-form filtering of the degree-13 closed-loop rationals is too
         # ill-conditioned near |z| = 1 to serve as a 1e-8 reference)
         ctrl = build_lfr(small_lpv_result.theta)
-        fs = model.sample_rate
         n = 10000
         rng = np.random.default_rng(0)
         r = rng.standard_normal(n) * 0.1
-        zero = TimeRecord(np.zeros(n), fs)
+        zero = TimeRecord(np.zeros(n))
         p = 40.0
-        tr = simulate_closed_loop(model, ctrl, TimeRecord(r, fs),
-                                  constant_scheduling(n, fs, p), zero)
-        k_tf = frozen_controller_tf(small_lpv_result.theta, p, fs)
+        tr = simulate_closed_loop(model, ctrl, TimeRecord(r),
+                                  constant_scheduling(n, p), zero)
+        k_tf = frozen_controller_tf(small_lpv_result.theta, p)
         ak, bk, ck, dk = controllable_canonical(k_tf)
         a_p = model.a_at(p)
         xg = np.zeros(model.state_dim)
@@ -137,14 +135,13 @@ class TestSimulateClosedLoop:
         # constant scheduling: the LFR path equals a direct simulation of the
         # frozen controller matrices
         ctrl = build_lfr(small_lpv_result.theta)
-        fs = model.sample_rate
         n = 2000
         rng = np.random.default_rng(1)
         r = rng.standard_normal(n) * 0.1
         p = 35.0
-        zero = TimeRecord(np.zeros(n), fs)
-        tr = simulate_closed_loop(model, ctrl, TimeRecord(r, fs),
-                                  constant_scheduling(n, fs, p), zero)
+        zero = TimeRecord(np.zeros(n))
+        tr = simulate_closed_loop(model, ctrl, TimeRecord(r),
+                                  constant_scheduling(n, p), zero)
         ak, bk, ck, dk = frozen_lfr_matrices(ctrl, p)
         a_p = model.a_at(p)
         xg = np.zeros(model.state_dim)
@@ -164,7 +161,7 @@ class TestSimulateClosedLoop:
         n = int(16 * fs)
         ref = filtered_square_reference(n, fs, 15.0, 8.0, 0.7)
         sched = square_scheduling(n, fs, model.scheduling_range, 4.0)
-        zero = TimeRecord(np.zeros(n), fs)
+        zero = TimeRecord(np.zeros(n))
         tr = simulate_closed_loop(model, ctrl, ref, sched, zero)
         metrics = step_metrics(tr)
         assert np.all(np.isfinite(tr.y))
@@ -174,17 +171,15 @@ class TestSimulateClosedLoop:
         # a large positive static gain destabilizes every frozen plant
         params = static_controller(50.0)
         assert not internally_stable(frozen_tf(model, 40.0),
-                                     frozen_controller_tf(params, 40.0,
-                                                          model.sample_rate))
+                                     frozen_controller_tf(params, 40.0))
         ctrl = build_lfr(params)
-        fs = model.sample_rate
         n = 20000
         r = np.zeros(n)
         r[10:] = 1.0
-        zero = TimeRecord(np.zeros(n), fs)
-        sched = constant_scheduling(n, fs, 40.0)
+        zero = TimeRecord(np.zeros(n))
+        sched = constant_scheduling(n, 40.0)
         with pytest.raises(SimulationDivergedError) as err:
-            simulate_closed_loop(model, ctrl, TimeRecord(r, fs), sched, zero)
+            simulate_closed_loop(model, ctrl, TimeRecord(r), sched, zero)
         *_, first_bad = closed_loop_recursion(
             model.a0, model.a1, model.b, model.c, ctrl.a_n, ctrl.b_n,
             ctrl.a_d, ctrl.b_d, params.wbar, params.vbar,
@@ -195,11 +190,10 @@ class TestSimulateClosedLoop:
 
     def test_length_mismatch(self, model, small_lpv_result):
         ctrl = build_lfr(small_lpv_result.theta)
-        fs = model.sample_rate
         with pytest.raises(ValueError):
-            simulate_closed_loop(model, ctrl, TimeRecord(np.zeros(8), fs),
-                                 constant_scheduling(9, fs, 40.0),
-                                 TimeRecord(np.zeros(8), fs))
+            simulate_closed_loop(model, ctrl, TimeRecord(np.zeros(8)),
+                                 constant_scheduling(9, 40.0),
+                                 TimeRecord(np.zeros(8)))
 
 
 class TestStepMetrics:
@@ -244,7 +238,7 @@ class TestStepMetrics:
         n = int(24 * fs)
         ref = filtered_square_reference(n, fs, 15.0, 8.0, 0.7)
         sched = square_scheduling(n, fs, model.scheduling_range, 4.0)
-        zero = TimeRecord(np.zeros(n), fs)
+        zero = TimeRecord(np.zeros(n))
         results = {}
         for name, res in (("lpv", small_lpv_result), ("lti", small_lti_result)):
             ctrl = build_lfr(res.theta)

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from conftest import lightly_damped_dp, unstable_plant_problem
-from lpvsyn import FrequencyGrid, analysis, cli, synthesis
+from lpvsyn import FrequencyGrid, analysis, cli, factorization, synthesis
 from test_cli import run, tiny_config, write_config
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -139,3 +139,15 @@ def test_benchmark_config_loads_with_default_options(path):
     default = cli.load_config(None, None, False)
     assert dataclasses.asdict(cli._options_from_config(cfg)) \
         == dataclasses.asdict(cli._options_from_config(default))
+
+
+def test_select_lpv_setup_builds_its_problem(tmp_path):
+    # the select-lpv workload calls the default designs, the analytic factor
+    # pairs, the scheduling basis and the options positionally
+    bench = load("run")
+    bench.factorization = factorization
+    select = bench.Run("select-lpv", 0, tmp_path)
+    bench.SelectLpv().setup(select)
+    assert isinstance(select.problem, synthesis.SynthesisProblem)
+    assert len(select.problem.grid) == 16
+    assert len(select.problem.scheduling_grid) == 3

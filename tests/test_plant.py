@@ -119,9 +119,8 @@ class TestSurrogateCalibration:
 class TestSimulateLpv:
     def test_zero_input_zero_output(self, model):
         n = 100
-        fs = model.sample_rate
-        out = simulate_lpv(model, TimeRecord(np.zeros(n), fs),
-                           TimeRecord(np.full(n, 40.0), fs))
+        out = simulate_lpv(model, TimeRecord(np.zeros(n)),
+                           TimeRecord(np.full(n, 40.0)))
         assert np.all(out.samples == 0.0)
 
     def test_frozen_scheduling_matches_lti_filter(self):
@@ -139,7 +138,7 @@ class TestSimulateLpv:
         rng = np.random.default_rng(0)
         u = rng.standard_normal(n)
         for p in (30.0, 50.0):
-            out = simulate_lpv(m, TimeRecord(u, 200.0), TimeRecord(np.full(n, p), 200.0))
+            out = simulate_lpv(m, TimeRecord(u), TimeRecord(np.full(n, p)))
             ref = frozen_tf(m, p).filter(u)
             assert np.max(np.abs(out.samples - ref)) < 1e-10
 
@@ -147,22 +146,20 @@ class TestSimulateLpv:
         # the locally unstable surrogate amplifies rounding differences, so
         # the agreement with the difference-equation filter is relative
         n = 10000
-        fs = model.sample_rate
         rng = np.random.default_rng(0)
         u = rng.standard_normal(n)
         for p in (30.0, 50.0):
-            out = simulate_lpv(model, TimeRecord(u, fs), TimeRecord(np.full(n, p), fs))
+            out = simulate_lpv(model, TimeRecord(u), TimeRecord(np.full(n, p)))
             ref = frozen_tf(model, p).filter(u)
             scale = np.maximum(np.abs(ref), 1.0)
             assert np.max(np.abs(out.samples - ref) / scale) < 1e-8
 
     def test_toggling_differs_from_frozen_and_matches_direct_recursion(self, model):
         n = 400
-        fs = model.sample_rate
         rng = np.random.default_rng(1)
         u = rng.standard_normal(n)
         p = np.where(np.arange(n) % 100 < 50, 30.0, 50.0)
-        out = simulate_lpv(model, TimeRecord(u, fs), TimeRecord(p, fs))
+        out = simulate_lpv(model, TimeRecord(u), TimeRecord(p))
         y_ref = lpv_recursion(model.a0, model.a1, model.b, model.c, u, p,
                               np.zeros(3))
         assert np.max(np.abs(out.samples - y_ref)) < 1e-12
@@ -172,16 +169,14 @@ class TestSimulateLpv:
 
     def test_scheduling_out_of_range(self, model):
         n = 8
-        fs = model.sample_rate
         with pytest.raises(ValueError):
-            simulate_lpv(model, TimeRecord(np.zeros(n), fs),
-                         TimeRecord(np.full(n, 60.0), fs))
+            simulate_lpv(model, TimeRecord(np.zeros(n)),
+                         TimeRecord(np.full(n, 60.0)))
 
     def test_divergence_reports_first_bad_sample(self, model):
         # a unit input on the locally unstable frozen model at p = 40 grows
         # until float64 overflows, near sample 71000
         n, p = 80000, 40.0
-        fs = model.sample_rate
         u = np.ones(n)
         with np.errstate(over="ignore", invalid="ignore"):
             y = lpv_recursion(model.a0, model.a1, model.b, model.c, u,
@@ -189,7 +184,7 @@ class TestSimulateLpv:
         want = _kernels.first_bad_index(y, np.inf)
         assert 0 < want < n and want % _kernels.CHUNK
         with pytest.raises(SimulationDivergedError) as err:
-            simulate_lpv(model, TimeRecord(u, fs), TimeRecord(np.full(n, p), fs))
+            simulate_lpv(model, TimeRecord(u), TimeRecord(np.full(n, p)))
         assert err.value.sample_index == want
 
 
@@ -219,7 +214,7 @@ class TestGenerateExperiment:
         assert np.array_equal(y.samples, maps["GS"].filter(d.samples))
 
     def test_destabilizing_controller_rejected(self, model):
-        bad = RationalTf.constant(10.0, model.sample_rate)
+        bad = RationalTf.constant(10.0)
         assert not internally_stable(frozen_tf(model, 30.0), bad)
         with pytest.raises(StabilizationError):
             generate_experiment(model, bad, 30.0, 64, 0.0, seed=0)
@@ -237,7 +232,7 @@ class TestGenerateExperiment:
         assert rel[band].max() < 0.05
 
     def test_controllable_canonical_matches_transfer(self):
-        tf = RationalTf([0.5, -0.2], [1.0, -1.1, 0.3], 1.0)
+        tf = RationalTf([0.5, -0.2], [1.0, -1.1, 0.3])
         a, b, c, d = controllable_canonical(tf)
         z = np.exp(1j * np.linspace(0.1, 3.0, 7))
         assert np.allclose(statespace_response(a, b, c, d, z), tf.eval_at(z),

@@ -667,5 +667,5 @@ class TestSoundness:
     def test_frozen_loops_oracle_stable(self, model, small_lpv_result):
         from lpvsyn import frozen_tf, internally_stable
         for p in (30.0, 40.0, 50.0):
-            k = frozen_controller_tf(small_lpv_result.theta, p, model.sample_rate)
+            k = frozen_controller_tf(small_lpv_result.theta, p)
             assert internally_stable(frozen_tf(model, p), k)
