@@ -153,8 +153,14 @@ def _model_from_config(cfg: dict) -> LpvSurrogateModel:
 
 def _grid_from_config(cfg: dict, sample_rate: float) -> FrequencyGrid:
     g = cfg["experiment"]["grid"]
-    return FrequencyGrid.log_spaced(float(g["f_min_hz"]), float(g["f_max_hz"]),
-                                    g["n"], sample_rate)
+    f_min, f_max = float(g["f_min_hz"]), float(g["f_max_hz"])
+    if not 0 < f_max <= sample_rate / 2:
+        raise ConfigError(f"experiment.grid.f_max_hz must lie in (0, {sample_rate / 2:g}] Hz "
+                          f"(up to the Nyquist frequency), not {g['f_max_hz']}")
+    if not 0 < f_min < f_max:
+        raise ConfigError(f"experiment.grid.f_min_hz must lie between 0 and f_max_hz, "
+                          f"not {g['f_min_hz']}")
+    return FrequencyGrid.log_spaced(f_min, f_max, g["n"], sample_rate)
 
 
 def _weight_from_config(spec) -> RationalTf:
@@ -334,6 +340,8 @@ def generate(ctx):
     cfg = ctx.obj["cfg"]
     model = _model_from_config(cfg)
     exp = cfg["experiment"]
+    if not float(exp["d_std"]) > 0:
+        raise ConfigError(f"experiment.d_std must be positive, not {exp['d_std']}")
     k0 = _controller0_from_config(cfg, model.sample_rate)
     out = _out_dir(cfg)
 
@@ -496,6 +504,11 @@ def simulate(ctx, controller_file):
         raise ConfigError(f"scenario.cutoff_hz must lie between 0 and the Nyquist "
                           f"frequency {fs / 2:g} Hz, not {scn['cutoff_hz']}")
     n = int(round(float(scn["duration_s"]) * fs))
+    if n < 2:
+        raise ConfigError(f"scenario.duration_s must give at least 2 samples at "
+                          f"{fs:g} Hz, not {scn['duration_s']}")
+    if float(scn["amplitude"]) == 0:
+        raise ConfigError("scenario.amplitude must be nonzero")
     ref = filtered_square_reference(n, fs, float(scn["amplitude"]),
                                    float(scn["ref_period_s"]),
                                    float(scn["cutoff_hz"]))

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .frfdata import FrequencyGrid, check_range
 from .rational import statespace_response
@@ -44,6 +43,13 @@ def _group_sections(poles: np.ndarray):
     return sections
 
 
+def _gramian(a, b):
+    """Controllability Gramian w of a 2-state pair, a w a^T - w + b b^T = 0,
+    solved as scipy's ``solve_discrete_lyapunov`` solves small ones (its
+    "direct" method): (I - a kron a) vec(w) = vec(b b^T)."""
+    return np.linalg.solve(np.eye(4) - np.kron(a, a), np.outer(b, b).ravel()).reshape(2, 2)
+
+
 def _section_matrices(section):
     """Balanced state-space of the inner (all-pass) function for one section."""
     if len(section) == 1:
@@ -59,8 +65,7 @@ def _section_matrices(section):
     b = np.array([1.0, 0.0])
     c = np.array([c1 * (1.0 - c2), 1.0 - c2 * c2])
     d = c2
-    w = scipy.linalg.solve_discrete_lyapunov(a, np.outer(b, b))
-    t = np.linalg.cholesky(w)
+    t = np.linalg.cholesky(_gramian(a, b))
     ti = np.linalg.inv(t)
     return (ti @ a @ t, ti @ b, c @ t, d)
 

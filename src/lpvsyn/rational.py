@@ -11,7 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dtbtrs
+
+from ._extension import load_extension
+
+dtbtrs = load_extension("scipy.linalg._flapack").dtbtrs
 
 
 def trim_poly(c) -> np.ndarray:

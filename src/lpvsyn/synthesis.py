@@ -45,11 +45,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
-from scipy.optimize import OptimizeResult
-from scipy.optimize._highspy import _core as _hc
 
+from ._extension import load_extension
 from .exceptions import (CutRoundsExhaustedError, SolverFailureError,
                          SynthesisInfeasibleError)
 from .factorization import CHANNELS, CoprimeFrfPair, assemble_closed_loop
@@ -57,6 +57,8 @@ from .frfdata import FrequencyGrid, SchedulingGrid
 from .obf import (ObfBasis, SchedulingBasis, eval_basis, eval_basis_at, realize_bank,
                   scheduling_eval)
 from .rational import RationalTf, statespace_tf
+
+_hc = load_extension("scipy.optimize._highspy._core")
 
 
 @dataclass(frozen=True, eq=False)
@@ -394,19 +396,21 @@ _CENTRAL_OPTIONS = (("solver", "ipm"), ("run_crossover", "off"))
 _SCIPY_STATUS = {_hc.HighsModelStatus.kOptimal: 0, _hc.HighsModelStatus.kInfeasible: 2}
 
 
-def linprog(model, *, A_ub: np.ndarray) -> OptimizeResult:
+def linprog(model, *, A_ub: np.ndarray) -> SimpleNamespace:
     """Solve the live HiGHS model, from its current basis if it has one.
 
     ``A_ub`` holds the model's inequality rows, which are its last rows.
-    Status 0 is optimal and 2 infeasible, as in scipy's ``linprog``; every
-    other HiGHS outcome is 4.  The name and the ``A_ub`` keyword are kept
-    so that ``perfbench/tracer.py`` can wrap each LP and count its rows.
+    The result has the fields of scipy's ``linprog`` result that are read:
+    ``status`` (0 optimal, 2 infeasible, 4 every other HiGHS outcome),
+    ``message``, ``x``, ``fun`` and ``ineqlin.marginals``.  The name and the
+    ``A_ub`` keyword are kept so that ``perfbench/tracer.py`` can wrap each
+    LP and count its rows.
     """
     run_ok = model.run() != _hc.HighsStatus.kError
     model_status = model.getModelStatus()
     status = _SCIPY_STATUS.get(model_status, 4) if run_ok else 4
-    res = OptimizeResult(status=status, message=model.modelStatusToString(model_status),
-                         x=None, fun=None, ineqlin=OptimizeResult(marginals=None))
+    res = SimpleNamespace(status=status, message=model.modelStatusToString(model_status),
+                          x=None, fun=None, ineqlin=SimpleNamespace(marginals=None))
     if status == 0:
         solution = model.getSolution()
         res.x = np.array(solution.col_value)

@@ -37,17 +37,45 @@ def run(*args):
     return CliRunner().invoke(main, list(args), catch_exceptions=False)
 
 
-def test_cli_import_leaves_signal_and_stats_unloaded():
-    # each CLI stage is its own process, so every module loaded at import
-    # is paid once per stage; scipy.signal alone pulls in scipy.stats
+def run_fresh(code):
+    """Stdout of ``code`` run in a fresh interpreter that imports this lpvsyn."""
     src = str(Path(lpvsyn.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import sys, lpvsyn.cli; "
-            "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_cli_import_leaves_signal_and_stats_unloaded():
+    # each CLI stage is its own process, so every module loaded at import
+    # is paid once per stage; scipy.signal alone pulls in scipy.stats, and
+    # the optimize and linalg packages pull in scipy.sparse and scipy.special
+    out = run_fresh("import sys, lpvsyn.cli; print(sorted(m for m in ("
+                    "'scipy.signal', 'scipy.stats', 'scipy.optimize', 'scipy.linalg', "
+                    "'scipy.sparse', 'scipy.special', 'scipy.linalg._flapack', "
+                    "'scipy.optimize._highspy._core') if m in sys.modules))")
+    assert out.strip() == "['scipy.linalg._flapack', 'scipy.optimize._highspy._core']"
+
+
+@pytest.mark.parametrize("lpvsyn_first", [True, False])
+def test_scipy_packages_share_the_compiled_modules(lpvsyn_first):
+    # lpvsyn loads HiGHS and _flapack from their files; scipy's packages,
+    # imported before or after, must reuse those modules, not initialise
+    # them again (the HiGHS binding fails with "type already registered")
+    scipy_imports = "import scipy.optimize, scipy.linalg, scipy.signal"
+    lpvsyn_imports = "import lpvsyn.cli; from lpvsyn import rational, synthesis"
+    first, then = ((lpvsyn_imports, scipy_imports) if lpvsyn_first
+                   else (scipy_imports, lpvsyn_imports))
+    out = run_fresh(f"""
+import sys
+{first}
+{then}
+print(synthesis._hc is sys.modules["scipy.optimize._highspy._core"])
+print(rational.dtbtrs is scipy.linalg.lapack.dtbtrs)
+res = scipy.optimize.linprog([1.0, 1.0], A_ub=[[-1.0, -2.0]], b_ub=[-2.0])
+print(res.status, res.fun)
+""")
+    assert out.split() == ["True", "True", "0", "1.0"]
 
 
 @pytest.fixture(scope="module")
@@ -384,12 +412,31 @@ class TestErrors:
          "experiment.n_samples must be positive, not 0"),
         ("estimate", {"experiment": {"periodic": False, "n_samples": 0}},
          "experiment.n_samples must be positive, not 0"),
+        # unchecked, f_min_hz <= 0 ends in "math domain error", and d_std = 0
+        # in exit 4 ("input record carries no excitation") after an experiment
+        ("generate", {"experiment": {"grid": {"f_min_hz": 0.0}}},
+         "experiment.grid.f_min_hz must lie between 0 and f_max_hz, not 0.0"),
+        ("generate", {"experiment": {"grid": {"f_min_hz": -1.0}}},
+         "experiment.grid.f_min_hz must"),
+        ("estimate", {"experiment": {"grid": {"f_min_hz": 0.0}}},
+         "experiment.grid.f_min_hz must"),
+        ("generate", {"experiment": {"grid": {"f_min_hz": 90.0}}},
+         "experiment.grid.f_min_hz must"),
+        ("generate", {"experiment": {"grid": {"f_max_hz": 100.5}}},
+         "experiment.grid.f_max_hz must lie in (0, 100] Hz"),
+        ("estimate", {"experiment": {"grid": {"f_max_hz": 0.0}}},
+         "experiment.grid.f_max_hz must"),
+        ("generate", {"experiment": {"d_std": 0.0}},
+         "experiment.d_std must be positive, not 0.0"),
+        ("generate", {"experiment": {"d_std": -1.0}},
+         "experiment.d_std must be positive, not -1.0"),
     ])
     def test_mistyped_leaf_rejected(self, tmp_path, command, override, message):
         cfg = {"out_dir": str(tmp_path / "out"), **override}
         res = run("--config", write_config(tmp_path, cfg), command)
         assert res.exit_code == 2
         assert message in res.output
+        assert not list((tmp_path / "out").glob("*"))
 
     @pytest.mark.parametrize("setting, value, message", [
         ("duration_s", -1.0, "scenario.duration_s must be positive, not -1.0"),
@@ -400,12 +447,18 @@ class TestErrors:
                              "frequency 100 Hz, not 150.0"),
         ("cutoff_hz", 100.0, "scenario.cutoff_hz must lie between 0"),
         ("cutoff_hz", 0.0, "scenario.cutoff_hz must lie between 0"),
+        ("duration_s", 0.001, "scenario.duration_s must give at least 2 samples at "
+                              "200 Hz, not 0.001"),
+        ("duration_s", 0.007, "scenario.duration_s must give at least 2 samples"),
+        ("amplitude", 0.0, "scenario.amplitude must be nonzero"),
     ])
     def test_scenario_out_of_range_rejected(self, pipeline, tmp_path, setting, value,
                                             message):
         # unchecked, a zero period is clamped to a 2-sample square wave, a cutoff
-        # at or above Nyquist makes the reference filter unstable, and a negative
-        # duration fails in numpy with a message that names no setting
+        # at or above Nyquist makes the reference filter unstable, a negative
+        # duration fails in numpy with a message that names no setting, and a
+        # duration under 2 samples or a zero amplitude fails only after every
+        # simulation has run
         _, out = pipeline
         cfg = tiny_config(tmp_path / "out")
         cfg["scenario"][setting] = value
@@ -413,7 +466,7 @@ class TestErrors:
                   str(out / "controller.json"))
         assert res.exit_code == 2
         assert message in res.output
-        assert not (tmp_path / "out" / "metrics.json").exists()
+        assert not list((tmp_path / "out").glob("*"))
 
     def test_record_of_other_length_rejected(self, pipeline, tmp_path):
         # a record of another length would be cut at another lead-in

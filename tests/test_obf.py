@@ -4,7 +4,7 @@ import pytest
 from lpvsyn import (ControllerParameters, FrequencyGrid, ObfBasis, SchedulingBasis,
                     cluster_poles, eval_basis, eval_basis_at, factor_rationals,
                     laguerre_basis, realize_bank, scheduling_eval)
-from lpvsyn.obf import _section_matrices
+from lpvsyn.obf import _gramian, _section_matrices
 
 
 def unit_circle(n):
@@ -95,6 +95,19 @@ class TestEvalAndRealization:
         phi = eval_basis_at(basis, unit_circle(2 ** 14))
         gram = phi @ phi.conj().T / 2 ** 14
         assert np.max(np.abs(gram - np.eye(basis.size))) < 1e-6
+
+    def test_section_gramian_equals_scipy_lyapunov(self):
+        # scipy's solver is only the oracle: obf solves the 2x2 case itself,
+        # by the Kronecker solve that scipy's "direct" method runs
+        import scipy.linalg
+        rng = np.random.default_rng(7)
+        for radius, angle in zip(rng.uniform(0.0, 0.999, 2000),
+                                 rng.uniform(1e-3, np.pi - 1e-3, 2000)):
+            xi = radius * np.exp(1j * angle)
+            a = np.array([[2.0 * xi.real, -abs(xi) ** 2], [1.0, 0.0]])
+            b = np.array([1.0, 0.0])
+            want = scipy.linalg.solve_discrete_lyapunov(a, np.outer(b, b))
+            assert np.array_equal(_gramian(a, b), want), xi
 
     def test_shift_register_for_zero_pole(self):
         bank = realize_bank(laguerre_basis(0.0, 3))

@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,8 @@ from lpvsyn import (CHANNELS, ControllerParameters, FrequencyGrid, FrfResponse,
                     bisect_gamma, closed_loop_data, evaluate_factors,
                     factor_rationals, feasibility_solve, frozen_controller_tf,
                     frozen_coprime_from_model, laguerre_basis)
-from lpvsyn import synthesis
+from lpvsyn import rational, synthesis
+from lpvsyn._extension import load_extension
 from lpvsyn.exceptions import (CutRoundsExhaustedError, SolverFailureError,
                                SynthesisInfeasibleError)
 from lpvsyn.obf import scheduling_eval
@@ -587,15 +589,27 @@ class TestBisection:
 
 class TestHighsBinding:
     def test_private_highs_class_has_every_method_used(self):
-        # synthesis drives scipy's private HiGHS binding directly; this pins
-        # the methods it calls, so a scipy upgrade that moves them fails here
-        from scipy.optimize._highspy import _core
+        # synthesis drives scipy's private HiGHS binding directly, loaded from
+        # its file; this pins the methods it calls, so a scipy upgrade that
+        # moves them fails here
         for method in ("setOptionValue", "addVars", "addRows", "changeColCost",
                        "run", "getModelStatus", "modelStatusToString",
                        "getSolution", "getInfo", "clearSolver"):
-            assert callable(getattr(_core._Highs, method, None)), method
+            assert callable(getattr(synthesis._hc._Highs, method, None)), method
         for name in ("HighsStatus", "HighsModelStatus", "kHighsInf"):
-            assert hasattr(_core, name), name
+            assert hasattr(synthesis._hc, name), name
+
+    def test_flapack_has_the_banded_solve_used(self):
+        # rational's banded triangular solve is LAPACK's dtbtrs, taken from
+        # scipy's compiled _flapack module
+        flapack = sys.modules["scipy.linalg._flapack"]
+        assert callable(getattr(flapack, "dtbtrs", None))
+        assert rational.dtbtrs is flapack.dtbtrs
+
+    def test_missing_compiled_module_raises(self):
+        with pytest.raises(ImportError, match="scipy.linalg._no_such_module"):
+            load_extension("scipy.linalg._no_such_module")
+        assert "scipy.linalg._no_such_module" not in sys.modules
 
 
 class TestIntegralAction:
