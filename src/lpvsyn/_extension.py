@@ -4,6 +4,13 @@ Importing ``scipy.optimize._highspy._core`` or ``scipy.linalg._flapack`` by
 name first runs the whole ``scipy.optimize`` or ``scipy.linalg`` package
 ``__init__``, which loads ``scipy.sparse`` and ``scipy.special`` among much
 else, in every CLI process, for the two routines lpvsyn calls.
+
+A loaded module is registered in ``sys.modules`` only.  A scipy package that
+loads later does not bind it as an attribute: after ``import lpvsyn.cli;
+import scipy.linalg``, the expression ``scipy.linalg._flapack`` raises
+``AttributeError``, and ``scipy.optimize._highspy._core`` likewise.  Imports
+find it all the same (``from scipy.linalg import _flapack`` falls back to
+``sys.modules``), and so does scipy's own code.
 """
 import importlib.util
 import sys

@@ -8,10 +8,11 @@ is second-order-cone representable in the controller parameters theta (both
 D_p and the channel numerators are affine in theta).  One ``ConstraintMap``,
 built once per problem, holds every disc as a row r = (p, channel, omega).
 Feasibility subproblems are linear programs over its tangent half-planes:
-starting from an outer relaxation, exact-phase cuts are added until the
-returned theta verifies against the true cone constraints or the relaxation
-certifies infeasibility.  An outer bisection over gamma yields the
-performance level.  A level at which the best verified theta so far already
+starting from an outer relaxation, exact-phase cuts (one per run of
+neighbouring violated frequencies) are added until the returned theta
+verifies against the true cone constraints or the relaxation certifies
+infeasibility.  An outer bisection over gamma yields the performance
+level.  A level at which the best verified theta so far already
 holds needs no LP and counts as a skipped step; the levels stay those of the
 plain bisection, so gamma does not depend on which were skipped.  Given an
 ``incumbent`` level to beat, the bisection first solves at the incumbent:
@@ -384,8 +385,10 @@ class FeasibilityOutcome:
 
 
 # frequency rows taken from each (p, channel, angle) block of the base fan to
-# start every solve; cuts add whatever else the solve needs
-WORKING_ROWS = 8
+# start every solve: both ends and the middle.  Cuts add whatever else the
+# solve needs, one per violated run (``_run_minima``), so a small start costs
+# a few more rounds of far smaller LPs; any start is still an outer relaxation
+WORKING_ROWS = 3
 # dual simplex (strategy 1), no logging, and no presolve: on these small dense
 # LPs presolve costs more per run than it removes
 _HIGHS_OPTIONS = (("output_flag", False), ("simplex_strategy", 1), ("presolve", "off"))
@@ -474,6 +477,15 @@ def _violated(cmap: ConstraintMap, theta: np.ndarray, gamma_inv: float, eps: flo
     return margins, np.flatnonzero(margins < -1e-12)
 
 
+def _run_minima(bad: np.ndarray, margins: np.ndarray, n_freq: int) -> np.ndarray:
+    """The most violated row of each run of the sorted violated rows ``bad``:
+    a run is consecutive rows of one (p, channel) block, so it breaks at a
+    gap or where a block of ``n_freq`` rows ends.  Ties go to the lowest row."""
+    breaks = np.flatnonzero((np.diff(bad) != 1) | (np.diff(bad // n_freq) != 0)) + 1
+    return np.array([run[np.argmin(margins[run])] for run in np.split(bad, breaks)],
+                    dtype=bad.dtype)
+
+
 def feasibility_solve(constraints: tuple, equalities=None,
                       options: SynthesisOptions | None = None,
                       warm: dict | None = None, *,
@@ -484,10 +496,13 @@ def feasibility_solve(constraints: tuple, equalities=None,
     ``constraints`` is (map, gamma_inv, eps) from ``assemble_constraints``.
     Solves max-margin linear programs over tangent half-planes in one live
     HiGHS model.  The LP is an outer relaxation refined with exact-phase
-    cuts at violated points, so "infeasible" is a certificate; a returned
-    theta is verified against the true cone constraints.  Numerical solver
-    failures raise, distinct from infeasibility; a cut loop that runs out
-    of rounds raises ``CutRoundsExhaustedError``.
+    cuts: each round splits the violated rows into runs of consecutive
+    frequencies inside one (p, channel) block and cuts once per run, at its
+    most violated row (``_run_minima``).  Any subset of tangent planes is
+    still an outer relaxation, so "infeasible" is a certificate; a returned
+    theta is verified against every row of the true cone constraints.
+    Numerical solver failures raise, distinct from infeasibility; a cut loop
+    that runs out of rounds raises ``CutRoundsExhaustedError``.
 
     Every solve starts from the planes of ``_working_set``.  Without
     ``warm`` that is the working set alone, and nothing is stored.  With it
@@ -550,13 +565,15 @@ def feasibility_solve(constraints: tuple, equalities=None,
             for key, value in _CENTRAL_OPTIONS:
                 model.setOptionValue(key, value)
             continue
-        # exact-phase cuts: planes touching each violated disc at its phase
-        phases = np.angle(cmap.apply(cmap.N, cmap.n0, bad, theta))
-        cut = (bad, np.cos(phases), np.sin(phases))
+        # exact-phase cuts: one plane per violated run, touching the disc of
+        # its most violated row at that row's phase
+        rows = _run_minima(bad, margins, cmap.n_freq)
+        phases = np.angle(cmap.apply(cmap.N, cmap.n0, rows, theta))
+        cut = (rows, np.cos(phases), np.sin(phases))
         a_ub = np.vstack([a_ub, _add_margin_rows(
             model, *cmap.tangent_rows(*cut, gamma_inv, eps))])
         labels = tuple(np.concatenate(pair) for pair in zip(labels, cut))
-        cuts_added += bad.size
+        cuts_added += rows.size
     raise CutRoundsExhaustedError("cutting-plane refinement did not converge", lp_solves)
 
 

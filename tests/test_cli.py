@@ -61,7 +61,9 @@ def test_cli_import_leaves_signal_and_stats_unloaded():
 def test_scipy_packages_share_the_compiled_modules(lpvsyn_first):
     # lpvsyn loads HiGHS and _flapack from their files; scipy's packages,
     # imported before or after, must reuse those modules, not initialise
-    # them again (the HiGHS binding fails with "type already registered")
+    # them again (the HiGHS binding fails with "type already registered");
+    # a module loaded first is not an attribute of its package, but imports
+    # from the package and scipy's LAPACK solves still find it
     scipy_imports = "import scipy.optimize, scipy.linalg, scipy.signal"
     lpvsyn_imports = "import lpvsyn.cli; from lpvsyn import rational, synthesis"
     first, then = ((lpvsyn_imports, scipy_imports) if lpvsyn_first
@@ -74,8 +76,11 @@ print(synthesis._hc is sys.modules["scipy.optimize._highspy._core"])
 print(rational.dtbtrs is scipy.linalg.lapack.dtbtrs)
 res = scipy.optimize.linprog([1.0, 1.0], A_ub=[[-1.0, -2.0]], b_ub=[-2.0])
 print(res.status, res.fun)
+from scipy.linalg import _flapack
+print(_flapack is sys.modules["scipy.linalg._flapack"])
+print(*scipy.linalg.solve([[2.0, 0.0], [0.0, 4.0]], [2.0, 2.0]))
 """)
-    assert out.split() == ["True", "True", "0", "1.0"]
+    assert out.split() == ["True", "True", "0", "1.0", "True", "1.0", "0.5"]
 
 
 @pytest.fixture(scope="module")

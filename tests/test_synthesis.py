@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpvsyn import (CHANNELS, ControllerParameters, FrequencyGrid, FrfResponse,
                     CoprimeFrfPair, ObfBasis, RationalTf, SchedulingBasis,
@@ -257,6 +259,50 @@ class TestFeasibility:
             assert rows.tolist() == [r for r, _ in fan]
             assert np.array_equal(cos, np.cos([a for _, a in fan]))
             assert np.array_equal(sin, np.sin([a for _, a in fan]))
+
+    def test_run_across_a_block_boundary_gives_two_cuts(self):
+        # rows 2..5 are consecutive, but rows 4 and 5 open the second
+        # 4-row (p, channel) block
+        margins = np.array([0.0, 0.0, -1.0, -3.0, -2.0, -0.5, 0.0, 0.0])
+        bad = np.array([2, 3, 4, 5])
+        assert synthesis._run_minima(bad, margins, 4).tolist() == [3, 4]
+
+    def test_single_violated_row_gives_one_cut(self):
+        margins = np.array([0.0, 0.0, -1.0, 0.0])
+        assert synthesis._run_minima(np.array([2]), margins, 4).tolist() == [2]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6), st.data())
+    def test_one_cut_per_run_at_its_most_violated_row(self, n_freq, data):
+        n_rows = 3 * n_freq
+        bad = sorted(data.draw(st.sets(st.integers(0, n_rows - 1), min_size=1)))
+        margins = np.array(data.draw(st.lists(
+            st.floats(-10.0, 0.0), min_size=n_rows, max_size=n_rows)))
+        runs = [[bad[0]]]
+        for prev, row in zip(bad, bad[1:]):
+            if row == prev + 1 and row // n_freq == prev // n_freq:
+                runs[-1].append(row)
+            else:
+                runs.append([row])
+        expected = [min(run, key=lambda r: (margins[r], r)) for run in runs]
+        got = synthesis._run_minima(np.array(bad), margins, n_freq)
+        assert got.tolist() == expected
+
+    def test_cut_rounds_add_one_plane_per_run(self, monkeypatch):
+        # the cut step cuts exactly at the rows _run_minima picks
+        picked = []
+
+        def spy(bad, margins, n_freq):
+            rows = run_minima(bad, margins, n_freq)
+            picked.append(rows.size)
+            return rows
+
+        run_minima = synthesis._run_minima
+        monkeypatch.setattr(synthesis, "_run_minima", spy)
+        problem = unstable_plant_problem(np.linspace(0.05, 3.0, 16))
+        outcome = feasibility_solve(assemble_constraints(problem, 3.0),
+                                    options=problem.options)
+        assert picked and outcome.telemetry["cuts"] == sum(picked)
 
     def test_carried_labels_decide_as_the_full_fan(self, monkeypatch):
         # the active planes of a solve at gamma = 3 are rebuilt at gamma = 5
