@@ -513,17 +513,15 @@ def simulate(ctx, controller_file):
                                    float(scn["ref_period_s"]),
                                    float(scn["cutoff_hz"]))
     zero_d = TimeRecord(np.zeros(n), "d")
+    schedules = {f"frozen_p{float(p):g}": constant_scheduling(n, float(p))
+                 for p in scn["frozen_points"]}
+    schedules["timevarying"] = square_scheduling(n, fs, model.scheduling_range,
+                                                 float(scn["sched_period_s"]))
+    traces = simulate_closed_loop(model, ctrl, ref, list(schedules.values()), zero_d)
     metrics = {}
-    for p in scn["frozen_points"]:
-        trace = simulate_closed_loop(model, ctrl, ref,
-                                     constant_scheduling(n, float(p)), zero_d)
-        save_trace(trace, out / f"trace_frozen_p{float(p):g}.csv")
-        metrics[f"frozen_p{float(p):g}"] = step_metrics(trace)
-    sched = square_scheduling(n, fs, model.scheduling_range,
-                              float(scn["sched_period_s"]))
-    trace = simulate_closed_loop(model, ctrl, ref, sched, zero_d)
-    save_trace(trace, out / "trace_timevarying.csv")
-    metrics["timevarying"] = step_metrics(trace)
+    for name, trace in zip(schedules, traces):
+        save_trace(trace, out / f"trace_{name}.csv")
+        metrics[name] = step_metrics(trace)
     (out / "metrics.json").write_text(_json_bytes(metrics))
     click.echo(f"wrote {out / 'metrics.json'}")
 

@@ -81,9 +81,11 @@ def frozen_controller_frf(ctrl: LfrController, p: float,
 
 
 def simulate_closed_loop(model: LpvSurrogateModel, ctrl: LfrController,
-                         reference: TimeRecord, scheduling: TimeRecord,
-                         disturbance: TimeRecord) -> Trace:
-    """Per-sample loop: e = r - y, u = K_p e, plant driven by u + d.
+                         reference: TimeRecord, schedules,
+                         disturbance: TimeRecord) -> list:
+    """Per-sample loop: e = r - y, u = K_p e, plant driven by u + d, once
+    for each scheduling record in ``schedules``; one ``Trace`` per record,
+    in order.
 
     The controller state and output use the current scheduling sample; the
     plant output is strictly causal in u, so there is no algebraic loop.
@@ -95,43 +97,74 @@ def simulate_closed_loop(model: LpvSurrogateModel, ctrl: LfrController,
                   + [b (D_K r_k + d_k); B_K r_k],
         u_k = C_K x_K,k + D_K e_k.
 
+    All records share the reference and the disturbance and advance together
+    on the batch axis of ``_kernels.lifted_states``, so each sample is one
+    stacked product; every loop's arithmetic is that of a run on its own.
+
     Raises SimulationDivergedError with the index of the first sample whose
-    output is not finite or exceeds OVERFLOW_LIMIT in magnitude.
+    output is not finite or exceeds OVERFLOW_LIMIT in magnitude, for the
+    first record in the given order whose loop diverges.
     """
     n = len(reference)
-    if len(scheduling) != n or len(disturbance) != n:
+    if not schedules:
+        raise ValueError("no scheduling record to simulate")
+    if len(disturbance) != n or any(len(s) != n for s in schedules):
         raise ValueError("reference, scheduling and disturbance lengths differ")
-    model.check_in_range(scheduling.samples)
-    r, p, d = reference.samples, scheduling.samples, disturbance.samples
+    for s in schedules:
+        model.check_in_range(s.samples)
+    r, d = reference.samples, disturbance.samples
+    p = np.stack([s.samples for s in schedules], axis=1)
+    n_runs = p.shape[1]
     nx = model.state_dim
     nz = nx + ctrl.state_dim
-    gains = {}  # lo -> (C_K, D_K) of the block, read back with its states
+    bc = np.outer(model.b, model.c)
+    # lo -> (C_K, D_K) at the block's distinct points and each sample's index
+    # into them, read back with the block's states
+    gains = {}
 
     def chunk(lo, hi):
-        a_k, b_k, c_k, d_k = frozen_lfr_matrices(ctrl, p[lo:hi])
-        gains[lo] = c_k, d_k
-        a_cl = np.empty((hi - lo, nz, nz))
-        a_cl[:, :nx, :nx] = (model.a0 + p[lo:hi, None, None] * model.a1
-                             - d_k[:, None, None] * np.outer(model.b, model.c))
+        # A_cl once per distinct operating point of the block (told apart by
+        # bits, so 0.0 and -0.0 stay apart), then gathered per sample and run
+        bits, at = np.unique(p[lo:hi].view(np.int64), return_inverse=True)
+        at = at.reshape(hi - lo, n_runs)
+        pts = bits.view(float)
+        a_k, b_k, c_k, d_k = frozen_lfr_matrices(ctrl, pts)
+        a_cl = np.empty((pts.size, nz, nz))
+        a_cl[:, :nx, :nx] = (model.a0 + pts[:, None, None] * model.a1
+                             - d_k[:, None, None] * bc)
         a_cl[:, :nx, nx:] = model.b[:, None] * c_k[:, None, :]
         a_cl[:, nx:, :nx] = -np.outer(b_k, model.c)
         a_cl[:, nx:, nx:] = a_k
-        f = np.empty((hi - lo, nz))
-        f[:, :nx] = np.outer(d_k * r[lo:hi] + d[lo:hi], model.b)
-        f[:, nx:] = np.outer(r[lo:hi], b_k)
-        return a_cl, f
+        gains[lo] = c_k, d_k, at
+        f = np.empty((hi - lo, n_runs, nz, 1))
+        f[..., :nx, 0] = (d_k[at] * r[lo:hi, None] + d[lo:hi, None])[..., None] * model.b
+        f[..., nx:, 0] = r[lo:hi, None, None] * b_k
+        return a_cl[at], f
 
-    e, u, y = np.empty(n), np.empty(n), np.empty(n)
+    e, u, y = np.empty((3, n_runs, n))
+    first_bad = [-1] * n_runs
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo, hi, zs in _kernels.lifted_states(n, nz, chunk):
-            c_k, d_k = gains.pop(lo)
-            y[lo:hi] = np.einsum("ki,i->k", zs[:, :nx], model.c)
-            bad = _kernels.first_bad_index(y[lo:hi], OVERFLOW_LIMIT)
-            if bad >= 0:
-                raise SimulationDivergedError("closed loop diverged", lo + bad)
-            e[lo:hi] = r[lo:hi] - y[lo:hi]
-            u[lo:hi] = np.einsum("ki,ki->k", c_k, zs[:, nx:]) + d_k * e[lo:hi]
-    return Trace(r, e, u, d, y, p, model.sample_rate, model.scheduling_range)
+        for lo, hi, zs in _kernels.lifted_states(n, (n_runs, nz), chunk):
+            c_k, d_k, at = gains.pop(lo)
+            for j in range(n_runs):
+                # contiguous operands give each product the memory layout,
+                # and so the summation order, of a run on its own
+                z = np.ascontiguousarray(zs[:, j, :, 0])
+                y_j = np.einsum("ki,i->k", z[:, :nx], model.c)
+                y[j, lo:hi] = y_j
+                bad = _kernels.first_bad_index(y_j, OVERFLOW_LIMIT)
+                if bad >= 0 and first_bad[j] < 0:
+                    first_bad[j] = lo + bad
+                e[j, lo:hi] = r[lo:hi] - y_j
+                u[j, lo:hi] = (np.einsum("ki,ki->k", c_k[at[:, j]], z[:, nx:])
+                               + d_k[at[:, j]] * e[j, lo:hi])
+            if first_bad[0] >= 0:
+                break  # the first record's error is the one raised
+    for j, bad in enumerate(first_bad):
+        if bad >= 0:
+            raise SimulationDivergedError("closed loop diverged", bad)
+    return [Trace(r, e[j], u[j], d, y[j], s.samples, model.sample_rate,
+                  model.scheduling_range) for j, s in enumerate(schedules)]
 
 
 # ---------------------------------------------------------------------------

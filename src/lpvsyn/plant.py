@@ -135,12 +135,12 @@ def simulate_lpv(model: LpvSurrogateModel, input: TimeRecord,
 
     def chunk(lo, hi):
         return (model.a0 + p[lo:hi, None, None] * model.a1,
-                np.outer(u[lo:hi], model.b))
+                np.outer(u[lo:hi], model.b)[..., None])
 
     y = np.empty(len(u))
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo, hi, xs in _kernels.lifted_states(len(u), model.state_dim, chunk):
-            y[lo:hi] = xs @ model.c
+        for lo, hi, xs in _kernels.lifted_states(len(u), (model.state_dim,), chunk):
+            y[lo:hi] = xs[..., 0] @ model.c
             bad = _kernels.first_bad_index(y[lo:hi], np.inf)
             if bad >= 0:
                 raise SimulationDivergedError("LPV simulation diverged", lo + bad)

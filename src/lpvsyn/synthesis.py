@@ -289,10 +289,11 @@ class ConstraintMap:
         return np.concatenate([coef[r] @ theta + off[r] for r in np.split(rows, bounds)])
 
     def evaluate(self, theta: np.ndarray, gamma_inv: float, eps: float):
-        """(true margins, Re{D theta + d0}) at every row."""
-        rows = np.arange(self.d0.size)
-        re_d = self.apply(self.D, self.d0, rows, theta).real
-        n_abs = np.abs(self.apply(self.N, self.n0, rows, theta))
+        """(true margins, Re{D theta + d0}) at every row, from one stacked
+        product per matrix whose members are ``apply``'s block products."""
+        blocks = (self.d0.size // self.n_freq, self.n_freq, theta.size)
+        re_d = ((self.D.reshape(blocks) @ theta).ravel() + self.d0).real
+        n_abs = np.abs((self.N.reshape(blocks) @ theta).ravel() + self.n0)
         return re_d - gamma_inv * n_abs - eps, re_d
 
     def tangent_rows(self, rows, cos, sin, scale: float, eps: float):

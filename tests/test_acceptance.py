@@ -220,7 +220,7 @@ def test_criterion_8_time_domain_behavior(model, result_lpv, result_lti):
     sse = []
     for p in POINTS:
         tr = simulate_closed_loop(model, ctrl_lpv, TimeRecord(r),
-                                  constant_scheduling(n_step, p), zero)
+                                  [constant_scheduling(n_step, p)], zero)[0]
         sse.append(abs(tr.y[-1] - 10.0) / 10.0)
     sse_ok = max(sse) < 1e-3
     # time-varying scenario: filtered square reference with square scheduling
@@ -230,8 +230,8 @@ def test_criterion_8_time_domain_behavior(model, result_lpv, result_lti):
     zero_n = TimeRecord(np.zeros(n))
     metrics = {}
     for name, res in (("lpv", result_lpv), ("lti", result_lti)):
-        tr = simulate_closed_loop(model, build_lfr(res.theta), ref, sched,
-                                  zero_n)
+        tr = simulate_closed_loop(model, build_lfr(res.theta), ref, [sched],
+                                  zero_n)[0]
         metrics[name] = step_metrics(tr)
     l2_ok = metrics["lpv"]["l2_error"] < metrics["lti"]["l2_error"]
     linf_ok = metrics["lpv"]["linf_error"] < metrics["lti"]["linf_error"]

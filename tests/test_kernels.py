@@ -52,6 +52,15 @@ def signals(rng, n):
     return r, p, d
 
 
+def schedules(n):
+    """A sinusoid, a constant and a square scheduling: records whose blocks
+    hold one, a few and many distinct operating points."""
+    k = np.arange(n)
+    return [TimeRecord(40.0 + 10.0 * np.sin(k / 50.0)),
+            TimeRecord(np.full(n, 35.0)),
+            TimeRecord(np.where(k % 400 < 200, 30.0, 50.0))]
+
+
 def oracle_loop(model, ctrl, r, p, d):
     params = ctrl.params
     return closed_loop_recursion(
@@ -61,20 +70,48 @@ def oracle_loop(model, ctrl, r, p, d):
 
 
 def assert_loop_matches_oracle(seed, n, **controller):
+    # all schedules run in one call; the oracle runs each on its own
     rng = np.random.default_rng(seed)
     model, ctrl = random_model(rng), random_controller(rng, **controller)
-    r, p, d = signals(rng, n)
-    tr = simulate_closed_loop(model, ctrl, r, p, d)
-    e, u, y, diverged = oracle_loop(model, ctrl, r, p, d)
-    assert diverged == -1
-    for got, want in ((tr.e, e), (tr.u, u), (tr.y, y)):
-        assert rel_err(got, want) <= 1e-12
+    r, _, d = signals(rng, n)
+    records = schedules(n)
+    traces = simulate_closed_loop(model, ctrl, r, records, d)
+    assert len(traces) == len(records)
+    for tr, p in zip(traces, records):
+        e, u, y, diverged = oracle_loop(model, ctrl, r, p, d)
+        assert diverged == -1
+        assert np.array_equal(tr.p, p.samples)
+        for got, want in ((tr.e, e), (tr.u, u), (tr.y, y)):
+            assert rel_err(got, want) <= 1e-12
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_closed_loop_matches_oracle(m):
-    # 2600 samples span three blocks of the lifted recursion
+    # 2600 samples span eight blocks of the lifted recursion at three runs
     assert_loop_matches_oracle(m, 2600, m=m)
+
+
+def test_batched_runs_equal_runs_one_at_a_time():
+    rng = np.random.default_rng(7)
+    model, ctrl = random_model(rng), random_controller(rng)
+    r, _, d = signals(rng, 2600)
+    records = schedules(2600)
+    together = simulate_closed_loop(model, ctrl, r, records, d)
+    for tr, p in zip(together, records):
+        alone, = simulate_closed_loop(model, ctrl, r, [p], d)
+        for name in ("r", "e", "u", "d", "y", "p"):
+            assert getattr(tr, name).tobytes() == getattr(alone, name).tobytes()
+
+
+def test_state_blocks_share_the_sample_budget():
+    # CHUNK sample-loops per block, whatever the batch size
+    a = np.zeros((_kernels.CHUNK, 3, 2, 2))
+    f = np.zeros((_kernels.CHUNK, 3, 2, 1))
+    spans = [(lo, hi, zs.shape) for lo, hi, zs in
+             _kernels.lifted_states(700, (3, 2), lambda lo, hi: (a, f))]
+    step = _kernels.CHUNK // 3
+    assert spans == [(0, step, (step, 3, 2, 1)), (step, 2 * step, (step, 3, 2, 1)),
+                     (2 * step, 700, (700 - 2 * step, 3, 2, 1))]
 
 
 def test_zero_order_controller_banks():
@@ -91,7 +128,26 @@ def test_overflow_detection():
         *_, want = oracle_loop(model, ctrl, r, p, d)
         assert (want >= _kernels.CHUNK) == (growth < 1.1)
         with pytest.raises(SimulationDivergedError) as err:
-            simulate_closed_loop(model, ctrl, r, p, d)
+            simulate_closed_loop(model, ctrl, r, [p], d)
+        assert err.value.sample_index == want
+
+
+def test_divergence_names_the_first_record_in_order():
+    # A(p) = g(p) I with g(30) = 1.02 and g(50) = 1.1: the p = 50 loop
+    # overflows near sample 290, the p = 30 loop near 1400
+    rng = np.random.default_rng(5)
+    eye = np.eye(3)
+    model = LpvSurrogateModel(0.9 * eye, 0.004 * eye, rng.standard_normal(3),
+                              rng.standard_normal(3), FS, P_RANGE)
+    ctrl = random_controller(rng)
+    r, _, d = signals(rng, 3000)
+    slow, fast = TimeRecord(np.full(3000, 30.0)), TimeRecord(np.full(3000, 50.0))
+    *_, want_slow = oracle_loop(model, ctrl, r, slow, d)
+    *_, want_fast = oracle_loop(model, ctrl, r, fast, d)
+    assert 0 < want_fast < want_slow
+    for records, want in (([slow, fast], want_slow), ([fast, slow], want_fast)):
+        with pytest.raises(SimulationDivergedError) as err:
+            simulate_closed_loop(model, ctrl, r, records, d)
         assert err.value.sample_index == want
 
 

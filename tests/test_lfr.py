@@ -85,7 +85,7 @@ class TestSimulateClosedLoop:
         n = 256
         zero = TimeRecord(np.zeros(n))
         tr = simulate_closed_loop(model, ctrl, zero,
-                                  constant_scheduling(n, 40.0), zero)
+                                  [constant_scheduling(n, 40.0)], zero)[0]
         assert np.all(tr.y == 0) and np.all(tr.u == 0) and np.all(tr.e == 0)
 
     def test_frozen_step_bounded_with_small_sse(self, model, small_lpv_result):
@@ -97,7 +97,7 @@ class TestSimulateClosedLoop:
         zero = TimeRecord(np.zeros(n))
         for p in (30.0, 40.0, 50.0):
             tr = simulate_closed_loop(model, ctrl, TimeRecord(r),
-                                      constant_scheduling(n, p), zero)
+                                      [constant_scheduling(n, p)], zero)[0]
             assert np.max(np.abs(tr.y)) < 50.0
             assert abs(tr.y[-1] - 5.0) / 5.0 < 1e-3
 
@@ -114,7 +114,7 @@ class TestSimulateClosedLoop:
         zero = TimeRecord(np.zeros(n))
         p = 40.0
         tr = simulate_closed_loop(model, ctrl, TimeRecord(r),
-                                  constant_scheduling(n, p), zero)
+                                  [constant_scheduling(n, p)], zero)[0]
         k_tf = frozen_controller_tf(small_lpv_result.theta, p)
         ak, bk, ck, dk = controllable_canonical(k_tf)
         a_p = model.a_at(p)
@@ -141,7 +141,7 @@ class TestSimulateClosedLoop:
         p = 35.0
         zero = TimeRecord(np.zeros(n))
         tr = simulate_closed_loop(model, ctrl, TimeRecord(r),
-                                  constant_scheduling(n, p), zero)
+                                  [constant_scheduling(n, p)], zero)[0]
         ak, bk, ck, dk = frozen_lfr_matrices(ctrl, p)
         a_p = model.a_at(p)
         xg = np.zeros(model.state_dim)
@@ -162,7 +162,7 @@ class TestSimulateClosedLoop:
         ref = filtered_square_reference(n, fs, 15.0, 8.0, 0.7)
         sched = square_scheduling(n, fs, model.scheduling_range, 4.0)
         zero = TimeRecord(np.zeros(n))
-        tr = simulate_closed_loop(model, ctrl, ref, sched, zero)
+        tr = simulate_closed_loop(model, ctrl, ref, [sched], zero)[0]
         metrics = step_metrics(tr)
         assert np.all(np.isfinite(tr.y))
         assert metrics["l2_error"] > 0
@@ -179,7 +179,7 @@ class TestSimulateClosedLoop:
         zero = TimeRecord(np.zeros(n))
         sched = constant_scheduling(n, 40.0)
         with pytest.raises(SimulationDivergedError) as err:
-            simulate_closed_loop(model, ctrl, TimeRecord(r), sched, zero)
+            simulate_closed_loop(model, ctrl, TimeRecord(r), [sched], zero)
         *_, first_bad = closed_loop_recursion(
             model.a0, model.a1, model.b, model.c, ctrl.a_n, ctrl.b_n,
             ctrl.a_d, ctrl.b_d, params.wbar, params.vbar,
@@ -192,7 +192,7 @@ class TestSimulateClosedLoop:
         ctrl = build_lfr(small_lpv_result.theta)
         with pytest.raises(ValueError):
             simulate_closed_loop(model, ctrl, TimeRecord(np.zeros(8)),
-                                 constant_scheduling(9, 40.0),
+                                 [constant_scheduling(9, 40.0)],
                                  TimeRecord(np.zeros(8)))
 
 
@@ -242,7 +242,7 @@ class TestStepMetrics:
         results = {}
         for name, res in (("lpv", small_lpv_result), ("lti", small_lti_result)):
             ctrl = build_lfr(res.theta)
-            tr = simulate_closed_loop(model, ctrl, ref, sched, zero)
+            tr = simulate_closed_loop(model, ctrl, ref, [sched], zero)[0]
             results[name] = step_metrics(tr)
         assert results["lpv"]["l2_error"] < results["lti"]["l2_error"]
         assert results["lpv"]["linf_error"] < results["lti"]["linf_error"]

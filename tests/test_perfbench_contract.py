@@ -18,7 +18,8 @@ import numpy as np
 import pytest
 
 from conftest import lightly_damped_dp, unstable_plant_problem
-from lpvsyn import FrequencyGrid, analysis, cli, factorization, synthesis
+from lpvsyn import (FrequencyGrid, analysis, cli, factorization, selection,
+                    synthesis)
 from test_cli import run, tiny_config, write_config
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -92,6 +93,30 @@ def test_record_path_feeds_the_layer_counters(tracer, tmp_path):
         assert metrics[name] > 0, name
 
 
+def test_simulate_feeds_the_layer_counters(tracer, tmp_path, small_lpv_result):
+    # simulate must reach the simulation and trace layers through the names
+    # the tracer wraps, or lfr.sim_s and plant.trace_write_s read zero; its
+    # four scenarios share one call, which counts the reference once
+    cfg = tiny_config(tmp_path / "out")
+    cfg_path = write_config(tmp_path, cfg)
+    controller = tmp_path / "controller.json"
+    controller.write_text(json.dumps(cli.controller_to_dict(small_lpv_result.theta,
+                                                            200.0)))
+    rec = tracer.Tracer()
+    rec.install()
+    try:
+        res = run("--config", cfg_path, "simulate", str(controller))
+        assert res.exit_code == 0, res.output
+    finally:
+        rec.uninstall()
+    metrics = tracer.layer_metrics(rec.spans)
+    n = round(cfg["scenario"]["duration_s"] * 200.0)
+    assert metrics["lfr.sim_samples"] == n
+    assert metrics["plant.trace_rows"] == 4 * n
+    for name in ("lfr.sim_s", "plant.trace_write_s"):
+        assert metrics[name] > 0, name
+
+
 def test_tracer_counts_every_synthesis_lp(tracer):
     # the LP counter reads A_ub by keyword, and the feasibility and bisection
     # spans come from wrapping bisect_gamma and feasibility_solve by name
@@ -151,3 +176,20 @@ def test_select_lpv_setup_builds_its_problem(tmp_path):
     assert isinstance(select.problem, synthesis.SynthesisProblem)
     assert len(select.problem.grid) == 16
     assert len(select.problem.scheduling_grid) == 3
+
+
+def test_select_lpv_lps_match_their_telemetry(tracer, tmp_path):
+    # a traced select-lpv run is correct only if every LP the tracer records
+    # is one that some returned bisection counted in its telemetry
+    bench = load("run")
+    bench.factorization = factorization
+    select = bench.Run("select-lpv", 0, tmp_path)
+    bench.SelectLpv().setup(select)
+    rec = tracer.Tracer()
+    rec.install()
+    try:
+        selection.basis_selection_iterate(select.problem, 1)
+    finally:
+        rec.uninstall()
+    metrics = tracer.layer_metrics(rec.spans)
+    assert metrics["synthesis.lp_solves"] == metrics["telemetry_lp_solves"] > 0

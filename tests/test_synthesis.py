@@ -184,6 +184,30 @@ class TestAssembleConstraints:
             fd_n = (cmap.N @ (theta + e)) - (cmap.N @ theta)
             assert np.max(np.abs(fd_n - cmap.N[:, i])) < 1e-9
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 12), st.integers(1, 40),
+           st.integers(0, 2 ** 32 - 1))
+    def test_evaluate_repeats_the_block_products_of_apply(self, n_blocks, n_freq,
+                                                          k, seed):
+        # the cut loop turns last-bit differences into other LP counts, so
+        # the stacked products must round as the per-block ones, bit for bit
+        rng = np.random.default_rng(seed)
+        rows = n_blocks * n_freq
+
+        def complex_normal(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        cmap = synthesis.ConstraintMap(
+            complex_normal(rows, k), complex_normal(rows), complex_normal(rows, k),
+            complex_normal(rows), np.zeros(rows), np.full(rows, "S"), n_freq)
+        theta = rng.standard_normal(k)
+        margins, re_d = cmap.evaluate(theta, 0.7, 1e-3)
+        every = np.arange(rows)
+        want_d = cmap.apply(cmap.D, cmap.d0, every, theta).real
+        want_n = np.abs(cmap.apply(cmap.N, cmap.n0, every, theta))
+        assert re_d.tobytes() == want_d.tobytes()
+        assert margins.tobytes() == (want_d - 0.7 * want_n - 1e-3).tobytes()
+
     def test_rows_agree_with_certified_closed_loop_data(self, small_problem):
         # the LP rows and the certificates read the same closed-loop data
         cmap, _, _ = assemble_constraints(small_problem, 2.0)
